@@ -133,8 +133,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(count) * sizeof(float);
     const core::CollAlgo chosen =
         defaults.Choose(core::CollKind::kAllreduce, bytes, ranks);
-    const char* chosen_name =
-        chosen == core::CollAlgo::kTree ? "tree" : "linear";
+    const char* chosen_name = core::CollAlgoName(chosen);
     const double host_us = host.AllreduceUs(bytes, ranks);
     std::printf("%10d %12.2f %12.2f %12.2f %10s %12.2f\n", count, linear,
                 tree, selected, chosen_name, host_us);

@@ -36,9 +36,7 @@ json::Value FabricPlan::ToJson() const {
     o["port"] = json::Value(sk.app_port);
     o["kind"] = json::Value(core::CollKindName(sk.kind));
     o["type"] = json::Value(core::DataTypeName(sk.type));
-    o["algo"] = json::Value(sk.algo == core::CollAlgo::kTree    ? "tree"
-                            : sk.algo == core::CollAlgo::kInnet ? "innet"
-                                                                : "linear");
+    o["algo"] = json::Value(core::CollAlgoName(sk.algo));
     sks.push_back(json::Value(std::move(o)));
   }
   root["support_kernels"] = json::Value(std::move(sks));
@@ -113,14 +111,8 @@ FabricPlan FabricPlan::FromJson(const json::Value& v) {
     sk.app_port = static_cast<int>(o.at("port").as_int());
     sk.kind = KindFromName(o.at("kind").as_string());
     sk.type = TypeFromName(o.at("type").as_string());
-    const std::string algo = o.get_string("algo", "linear");
-    if (algo == "tree") {
-      sk.algo = core::CollAlgo::kTree;
-    } else if (algo == "innet") {
-      sk.algo = core::CollAlgo::kInnet;
-    } else if (algo != "linear") {
-      throw ParseError("unknown collective algo in plan: " + algo);
-    }
+    sk.algo = core::ParseCollAlgo(o.get_string("algo", "linear"));
+    core::CheckCollAlgo(sk.kind, sk.algo);
     plan.support_kernels.push_back(sk);
   }
   if (v.contains("handlers")) {

@@ -208,9 +208,10 @@ void Cluster::UploadInnetHandlers() {
   std::map<int, InnetRoutePlan> plans;
   for (const auto& [port, p] : innet_ports_) {
     InnetRoutePlan plan = PlanInnetRoutes(p);
-    AppendInnetHandlers(tables, port, p.op, p.type, p.root_global,
-                        p.comm_global, innet_hold_cycles_, plan.funnel,
-                        plan.fan_children);
+    if (p.comm_global.size() > 1) {  // else nothing crosses the network
+      AppendInnetHandlers(tables, port, p.op, p.type, innet_hold_cycles_,
+                          plan.funnel, plan.fan_children);
+    }
     plans.emplace(port, std::move(plan));
   }
   fabric_->UploadHandlers(tables);

@@ -11,6 +11,7 @@
 /// (§4.4: "both the root and non-root behavior is instantiated at every
 /// rank").
 
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -40,6 +41,16 @@ const char* CollKindName(CollKind k);
 /// transport/handler.h, with credit grants multicast down a fan-out tree.
 /// Baked into the fabric like everything else about the support kernels.
 enum class CollAlgo : std::uint8_t { kLinear, kTree, kInnet };
+
+/// "linear", "tree" or "innet": the one name table for plan and spec JSON.
+const char* CollAlgoName(CollAlgo algo);
+/// Inverse of CollAlgoName; throws ParseError for any other name.
+CollAlgo ParseCollAlgo(const std::string& name);
+
+/// Throws ConfigError unless a `kind` support kernel exists for `algo`:
+/// the tree scheme covers Bcast, Reduce and Allreduce, the in-network one
+/// only Reduce.
+void CheckCollAlgo(CollKind kind, CollAlgo algo);
 
 struct CollConfig {
   CollKind kind = CollKind::kBcast;

@@ -45,4 +45,44 @@ int BinomialDepth(int n) {
   return depth;
 }
 
+namespace {
+
+/// Root-relative rank -> global rank.
+int RelToGlobal(const CollConfig& cfg, int rel) {
+  const int n = static_cast<int>(cfg.comm_global.size());
+  const int comm_rank = (rel + cfg.root_comm) % n;
+  return cfg.comm_global[static_cast<std::size_t>(comm_rank)];
+}
+
+}  // namespace
+
+TreeShape MakeTreeShape(CollAlgo algo, const CollConfig& cfg, int me) {
+  const int n = static_cast<int>(cfg.comm_global.size());
+  const int rel = (me - cfg.root_comm + n) % n;
+  TreeShape shape;
+  switch (algo) {
+    case CollAlgo::kLinear:
+      if (rel != 0) {
+        shape.parent = RelToGlobal(cfg, 0);
+        return shape;
+      }
+      for (int r = 0; r < n; ++r) {
+        if (r != cfg.root_comm) {
+          shape.children.push_back(
+              cfg.comm_global[static_cast<std::size_t>(r)]);
+        }
+      }
+      return shape;
+    case CollAlgo::kTree:
+      if (rel != 0) shape.parent = RelToGlobal(cfg, BinomialParent(rel));
+      for (const int child : BinomialChildren(rel, n)) {
+        shape.children.push_back(RelToGlobal(cfg, child));
+      }
+      return shape;
+    case CollAlgo::kInnet:
+      break;
+  }
+  throw ConfigError("the in-network algo has no support-kernel tree shape");
+}
+
 }  // namespace smi::core

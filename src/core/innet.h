@@ -17,15 +17,17 @@
 /// complete when its count reaches the communicator size, however arbitrarily
 /// the network merged the streams on the way in.
 ///
-/// Flow control reuses the credit-tile scheme of the linear/tree Reduce
+/// Flow control reuses the credit-tile scheme of the endpoint Reduce
 /// (§4.4), with the grant direction also offloaded to the network: the root
 /// sends ONE credit packet addressed to itself per tile; the CKR fan-out
 /// handlers replicate it down a fan tree over the communicator, so the grant
 /// reaches n-1 ranks with one packet per tree edge instead of the root
-/// serializing n-1 credit sends. The root's accumulation window is TWO tiles
-/// deep (2C elements), so each grant goes out a full tile before the
-/// non-roots exhaust their window and the grant round-trip hides behind the
-/// streaming instead of stalling it.
+/// serializing n-1 credit sends. The root's accumulation window is
+/// min(tiles, 2 + window_cycles/C) tiles deep: the grant round-trip
+/// (CollConfig::window_cycles) plus the tile being emitted, the
+/// bandwidth-delay window of DESIGN §12. Grants therefore stay ahead of the
+/// farthest rank and the round-trip hides behind the streaming instead of
+/// stalling it.
 ///
 /// Stream pacing. Serial links are long (FabricConfig::link_latency ~1e2
 /// cycles), so contributions from ranks at different hop distances would
@@ -53,20 +55,10 @@
 
 #include <vector>
 
-#include "core/coll_token.h"
-#include "core/support.h"
 #include "core/types.h"
 #include "transport/handler.h"
 
 namespace smi::core {
-
-/// The in-network Reduce support kernel (CollAlgo::kInnet). Requires the
-/// matching handler tables to be installed (Cluster does this when a
-/// ProgramSpec carries an innet Reduce op); without them the protocol is
-/// still correct — packets simply never merge and credits never fan out
-/// past the root — but the root then waits forever for credits it granted
-/// only to itself, so the tables are not optional in practice.
-sim::Kernel InnetReduceSupportKernel(SupportCtx ctx);
 
 /// Element-fold function for the reduce-in-transit handler: folds the
 /// element region of `in` into `acc` elementwise under (op, type). A plain
@@ -79,8 +71,8 @@ transport::HandlerEntry::CombineFn MakeInnetCombiner(ReduceOp op,
 ///  * a reduce-combine entry on EVERY rank (compute and switch — transit
 ///    hops are where fan-in funnels) keyed (port, kData), with `hold_cycles`
 ///    and per-rank max_contribs taken from `funnel_contribs` (see below);
-///  * a credit fan-out entry keyed (port, kCredit) on each non-leaf of the
-///    grant fan tree over `comm_global` rooted at `root_global`.
+///  * a credit fan-out entry keyed (port, kCredit) on every rank with
+///    children in the grant fan tree `fan_children`.
 ///
 /// `funnel_contribs[g]` is rank g's funnel in-degree: how many communicator
 /// contributions route through g's network egress on their way to the root
@@ -88,22 +80,20 @@ transport::HandlerEntry::CombineFn MakeInnetCombiner(ReduceOp op,
 /// packet at g can ever accumulate, so a packet that reaches it departs
 /// immediately instead of idling out the hold window — in particular a
 /// non-funnel rank (in-degree 1) forwards at full rate with no added
-/// latency. Pass an empty vector to fall back to the conservative
-/// communicator-size-minus-one cap (packets then always wait out
-/// `hold_cycles` at funnels). The cap is a flush heuristic only: any value
-/// is protocol-correct because the root counts contributions per element.
+/// latency. The cap is a flush heuristic only: any value is
+/// protocol-correct because the root counts contributions per element.
 ///
 /// `fan_children[g]` lists rank g's children in the grant fan tree (global
 /// ranks; see "stream pacing" above — the Cluster derives it from the
-/// routing tables so fan distance mirrors data distance). Pass an empty
-/// vector to fall back to a binomial tree over the communicator, which is
-/// correct but leaves the grant arrival times unrelated to the data path
-/// and therefore defeats pacing.
+/// routing tables so fan distance mirrors data distance).
+///
+/// Both vectors hold one entry per table. The handler tables are required:
+/// without them the root waits forever for credits it granted only to
+/// itself.
 void AppendInnetHandlers(std::vector<transport::HandlerTable>& tables,
-                         int port, ReduceOp op, DataType type, int root_global,
-                         const std::vector<int>& comm_global, int hold_cycles,
-                         const std::vector<int>& funnel_contribs = {},
-                         const std::vector<std::vector<int>>& fan_children = {});
+                         int port, ReduceOp op, DataType type, int hold_cycles,
+                         const std::vector<int>& funnel_contribs,
+                         const std::vector<std::vector<int>>& fan_children);
 
 }  // namespace smi::core
 

@@ -48,15 +48,6 @@ ReduceOp ReduceOpFromName(const std::string& name) {
   throw ParseError("unknown reduce op: " + name);
 }
 
-const char* AlgoName(CollAlgo algo) {
-  switch (algo) {
-    case CollAlgo::kLinear: return "linear";
-    case CollAlgo::kTree: return "tree";
-    case CollAlgo::kInnet: return "innet";
-  }
-  return "?";
-}
-
 }  // namespace
 
 ProgramSpec::ProgramSpec(std::vector<OpSpec> ops) {
@@ -65,9 +56,11 @@ ProgramSpec::ProgramSpec(std::vector<OpSpec> ops) {
 
 void ProgramSpec::Validate(const OpSpec& op) const {
   if (op.port < 0) throw ConfigError("negative SMI port");
-  if (op.algo == CollAlgo::kInnet && op.kind != OpSpec::Kind::kReduce) {
-    throw ConfigError(std::string("the in-network algo exists only for "
-                                  "reduce, not ") + OpKindName(op.kind));
+  if (const auto kind = op.coll_kind()) {
+    CheckCollAlgo(*kind, op.algo);
+  } else if (op.algo != CollAlgo::kLinear) {
+    throw ConfigError(std::string(OpKindName(op.kind)) +
+                      " is point-to-point and takes no collective algo");
   }
   for (const OpSpec& existing : ops_) {
     if (existing.port != op.port) continue;
@@ -122,7 +115,7 @@ json::Value ProgramSpec::ToJson() const {
     o["port"] = json::Value(op.port);
     o["type"] = json::Value(DataTypeName(op.type));
     if (op.is_collective()) {
-      o["algo"] = json::Value(AlgoName(op.algo));
+      o["algo"] = json::Value(CollAlgoName(op.algo));
       if (op.kind == OpSpec::Kind::kReduce ||
           op.kind == OpSpec::Kind::kAllreduce) {
         o["reduce_op"] = json::Value(ReduceOpName(op.reduce_op));
@@ -142,14 +135,7 @@ ProgramSpec ProgramSpec::FromJson(const json::Value& v) {
     op.kind = KindFromName(o.at("kind").as_string());
     op.port = static_cast<int>(o.at("port").as_int());
     op.type = TypeFromName(o.at("type").as_string());
-    const std::string algo = o.get_string("algo", "linear");
-    if (algo == "tree") {
-      op.algo = CollAlgo::kTree;
-    } else if (algo == "innet") {
-      op.algo = CollAlgo::kInnet;
-    } else if (algo != "linear") {
-      throw ParseError("unknown collective algo: " + algo);
-    }
+    op.algo = ParseCollAlgo(o.get_string("algo", "linear"));
     op.reduce_op = ReduceOpFromName(o.get_string("reduce_op", "SMI_ADD"));
     spec.Add(op);
   }

@@ -5,10 +5,11 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/coll_tree.h"
+#include "core/support_internal.h"
 #include "sim/engine.h"
 
 namespace smi::core {
-namespace {
 
 using net::OpType;
 using net::Packet;
@@ -51,37 +52,8 @@ Packet MakeSync(const SupportCtx& ctx, int dst_global, OpType op) {
   p.hdr.dst = static_cast<std::uint16_t>(dst_global);
   p.hdr.port = static_cast<std::uint8_t>(ctx.port);
   p.hdr.op = op;
-  p.hdr.count = 0;
   return p;
 }
-
-void PackElement(Packet& pkt, int index, const Element& e, std::size_t size) {
-  pkt.StoreBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-}
-
-Element UnpackElement(const Packet& pkt, int index, std::size_t size) {
-  Element e;
-  pkt.LoadBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-  return e;
-}
-
-/// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
-/// across successive channel opens on the same port so that an early READY
-/// for the *next* open (from a fast rank) is credited correctly.
-class ReadyLedger {
- public:
-  void Record(int src_global) { ++counts_[src_global]; }
-  bool Has(int src_global) const {
-    const auto it = counts_.find(src_global);
-    return it != counts_.end() && it->second > 0;
-  }
-  void Consume(int src_global) { --counts_[src_global]; }
-
- private:
-  std::map<int, int> counts_;
-};
-
-}  // namespace
 
 void NotifyCollectiveSyncPoint(const SupportCtx& ctx) {
   if (ctx.engine != nullptr) ctx.engine->FidelitySyncPoint();
@@ -98,45 +70,90 @@ const char* CollKindName(CollKind k) {
   return "?";
 }
 
+const char* CollAlgoName(CollAlgo algo) {
+  switch (algo) {
+    case CollAlgo::kLinear: return "linear";
+    case CollAlgo::kTree: return "tree";
+    case CollAlgo::kInnet: return "innet";
+  }
+  return "?";
+}
+
+CollAlgo ParseCollAlgo(const std::string& name) {
+  for (const CollAlgo algo :
+       {CollAlgo::kLinear, CollAlgo::kTree, CollAlgo::kInnet}) {
+    if (name == CollAlgoName(algo)) return algo;
+  }
+  throw ParseError("unknown collective algo: " + name);
+}
+
+void CheckCollAlgo(CollKind kind, CollAlgo algo) {
+  const bool ok = algo == CollAlgo::kLinear ||
+                  (algo == CollAlgo::kTree && kind != CollKind::kScatter &&
+                   kind != CollKind::kGather) ||
+                  (algo == CollAlgo::kInnet && kind == CollKind::kReduce);
+  if (!ok) {
+    throw ConfigError(std::string("no ") + CollAlgoName(algo) + " " +
+                      CollKindName(kind) + " support kernel exists");
+  }
+}
+
+namespace {
+
+void PackElement(Packet& pkt, int index, const Element& e, std::size_t size) {
+  pkt.StoreBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
+}
+
+Element UnpackElement(const Packet& pkt, int index, std::size_t size) {
+  Element e;
+  pkt.LoadBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
+  return e;
+}
+
 // ---------------------------------------------------------------------------
-// Bcast (§4.4): the root waits for a READY from every non-root (one-to-all
-// rendezvous), then streams packets, replicating each to every non-root in a
-// linear scheme. Non-roots send READY once and then forward arriving data
-// elements to their application.
+// Bcast (§4.4) over a tree shape: every non-root sends READY to its parent;
+// a node streams to its children only after each child's READY (one-to-all
+// rendezvous, which keeps successive opens on the port from mixing). The
+// root packs the application's elements; every other node delivers each
+// packet from its parent to its application and forwards it to its own
+// children. The flat shape is the paper's linear scheme.
 // ---------------------------------------------------------------------------
-Kernel BcastSupportKernel(SupportCtx ctx) {
-  ReadyLedger readies;
+Kernel Bcast(SupportCtx ctx, CollAlgo algo) {
+  std::map<int, int> readies;  // per-source pending READY count
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "BcastSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
-    const int me = MyCommRank(cfg, ctx.my_global, "BcastSupport");
+    const TreeShape shape = MakeTreeShape(
+        algo, cfg, MyCommRank(cfg, ctx.my_global, "BcastSupport"));
     const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
     const std::size_t esz = SizeOf(cfg.type);
 
-    if (me == cfg.root_comm) {
-      // Rendezvous: every non-root must be ready to receive.
-      for (int r = 0; r < n; ++r) {
-        if (r == cfg.root_comm) continue;
-        const int g = cfg.comm_global[static_cast<std::size_t>(r)];
-        while (!readies.Has(g)) {
-          const Packet p = co_await fifo_pop(*ctx.net_in);
-          if (p.hdr.op != OpType::kSync) {
-            throw ConfigError("BcastSupport: unexpected packet during "
-                              "rendezvous: " + p.DebugString());
-          }
-          readies.Record(p.hdr.src);
+    // Non-roots announce readiness to their parent before any data moves.
+    if (shape.parent >= 0) {
+      co_await fifo_push(*ctx.net_out,
+                         MakeSync(ctx, shape.parent, OpType::kSync));
+    }
+    // Collect READYs from all children (any arrival order; an early READY
+    // for the next open stays counted for it).
+    for (const int g : shape.children) {
+      while (readies[g] == 0) {
+        const Packet p = co_await fifo_pop(*ctx.net_in);
+        if (p.hdr.op != OpType::kSync) {
+          throw ConfigError("BcastSupport: unexpected packet during "
+                            "rendezvous: " + p.DebugString());
         }
-        readies.Consume(g);
+        ++readies[p.hdr.src];
       }
-      // Stream the message, one packet's worth of elements at a time,
-      // replicated to each destination (linear scheme).
-      int sent = 0;
-      while (sent < cfg.count) {
-        const int chunk = std::min(epp, cfg.count - sent);
-        Packet data = MakeSync(ctx, /*dst placeholder*/ ctx.my_global,
-                               OpType::kData);
+      --readies[g];
+    }
+
+    int done = 0;
+    while (done < cfg.count) {
+      Packet data = MakeSync(ctx, ctx.my_global, OpType::kData);
+      if (shape.parent < 0) {
+        // Root: assemble the packet from the application's elements.
+        const int chunk = std::min(epp, cfg.count - done);
         for (int e = 0; e < chunk; ++e) {
           PackElement(data, e,
                       GetElement(co_await fifo_pop(*ctx.app_in),
@@ -144,149 +161,64 @@ Kernel BcastSupportKernel(SupportCtx ctx) {
                       esz);
         }
         data.hdr.count = static_cast<std::uint8_t>(chunk);
-        for (int r = 0; r < n; ++r) {
-          if (r == cfg.root_comm) continue;
-          data.hdr.dst = static_cast<std::uint16_t>(
-              cfg.comm_global[static_cast<std::size_t>(r)]);
-          co_await fifo_push(*ctx.net_out, data);
-        }
-        sent += chunk;
-      }
-    } else {
-      co_await fifo_push(
-          *ctx.net_out,
-          MakeSync(ctx, cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)],
-                   OpType::kSync));
-      int received = 0;
-      while (received < cfg.count) {
-        const Packet p = co_await fifo_pop(*ctx.net_in);
-        if (p.hdr.op != OpType::kData) {
+      } else {
+        // Receive from the parent and deliver locally.
+        data = co_await fifo_pop(*ctx.net_in);
+        if (data.hdr.op != OpType::kData) {
           throw ConfigError("BcastSupport: unexpected packet: " +
-                            p.DebugString());
+                            data.DebugString());
         }
-        for (int e = 0; e < p.hdr.count; ++e) {
+        for (int e = 0; e < data.hdr.count; ++e) {
           co_await fifo_push(*ctx.app_out,
-                             CollToken(UnpackElement(p, e, esz)));
-          ++received;
+                             CollToken(UnpackElement(data, e, esz)));
         }
       }
+      // Forward to every child.
+      data.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
+      for (const int g : shape.children) {
+        data.hdr.dst = static_cast<std::uint16_t>(g);
+        co_await fifo_push(*ctx.net_out, data);
+      }
+      done += data.hdr.count;
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
 }
 
 // ---------------------------------------------------------------------------
-// Reduce (§4.4): credit-based flow control with C credits. The root folds
-// contributions (its own from the application, remote ones from the network)
-// into a C-deep accumulator window in arrival order — legal because the
-// supported operations are associative and commutative — and emits element
-// e as soon as all n ranks have contributed it. Credits for tile t are
-// granted once every element of tile t-1 has been emitted. Non-roots stream
-// one tile per credit.
+// Reduce (§4.4) over a tree shape, with credit-based flow control in tiles
+// of C elements on every edge. The root and every inner node fold their own
+// application stream with their children's partials into a C-deep window —
+// in arrival order, legal because the supported operations are associative
+// and commutative. An inner node forwards each completed element to its
+// parent inside the parent's credits; the root emits it to its application
+// element-wise (so the root application's push/pop loop cannot deadlock).
+// Once every element of a tile is out, the node credits its children with
+// the next tile; tile 0 is implicitly granted at open.
+//
+// A leaf of the flat shape (the paper's linear scheme) has nothing to fold
+// and streams its application elements straight to the root, one tile per
+// credit, parking on FIFO waits. Sending it through the fold loop instead,
+// which polls every cycle, makes linear Reduce 0.08-0.22 % slower. Binomial
+// leaves stay in the fold loop; streaming them keeps every cycle count but
+// changes the kernel resume counts the benchmark baseline pins (DESIGN §9).
 // ---------------------------------------------------------------------------
-Kernel ReduceSupportKernel(SupportCtx ctx) {
+Kernel Reduce(SupportCtx ctx, CollAlgo algo) {
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "ReduceSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
-    const int me = MyCommRank(cfg, ctx.my_global, "ReduceSupport");
+    const TreeShape shape = MakeTreeShape(
+        algo, cfg, MyCommRank(cfg, ctx.my_global, "ReduceSupport"));
     const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
     const std::size_t esz = SizeOf(cfg.type);
     const int C = std::max(1, cfg.credits);
 
     if (cfg.count == 0) continue;
 
-    if (me == cfg.root_comm) {
-      std::vector<Element> accum(static_cast<std::size_t>(C),
-                                 ReduceIdentity(cfg.op, cfg.type));
-      std::vector<int> contrib(static_cast<std::size_t>(C), 0);
-      std::vector<int> remote_next(static_cast<std::size_t>(n), 0);
-      int local_next = 0;
-      int emitted = 0;
-      int granted_tiles = 1;  // tile 0 is implicitly granted at open
-      // Credits queued for sending, as destination global ranks.
-      std::vector<int> pending_credits;
-
-      const auto fold = [&](int element_index, const Element& value) {
-        const std::size_t slot =
-            static_cast<std::size_t>(element_index % C);
-        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], value);
-        ++contrib[slot];
-      };
-
-      while (emitted < cfg.count) {
-        const Cycle now = *ctx.now;
-        // (1) Emit the next result if complete.
-        if (contrib[static_cast<std::size_t>(emitted % C)] == n &&
-            ctx.app_out->CanPush(now)) {
-          const std::size_t slot = static_cast<std::size_t>(emitted % C);
-          ctx.app_out->Push(CollToken(accum[slot]), now);
-          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[slot] = 0;
-          ++emitted;
-          // Tile boundary: grant the next tile if one remains.
-          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            for (int r = 0; r < n; ++r) {
-              if (r == cfg.root_comm) continue;
-              pending_credits.push_back(
-                  cfg.comm_global[static_cast<std::size_t>(r)]);
-            }
-          }
-        }
-        // (2) Fold one local contribution if within the window.
-        if (local_next < cfg.count && local_next < emitted + C &&
-            ctx.app_in->CanPop(now)) {
-          fold(local_next,
-               GetElement(ctx.app_in->Pop(now), "ReduceSupport"));
-          ++local_next;
-        }
-        // (3) Fold one remote packet.
-        if (ctx.net_in->CanPop(now)) {
-          const Packet p = ctx.net_in->Pop(now);
-          if (p.hdr.op != OpType::kData) {
-            throw ConfigError("ReduceSupport(root): unexpected packet: " +
-                              p.DebugString());
-          }
-          int src_comm = -1;
-          for (int r = 0; r < n; ++r) {
-            if (cfg.comm_global[static_cast<std::size_t>(r)] == p.hdr.src) {
-              src_comm = r;
-              break;
-            }
-          }
-          if (src_comm < 0) {
-            throw ConfigError("ReduceSupport(root): contribution from a "
-                              "non-member rank");
-          }
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = remote_next[static_cast<std::size_t>(src_comm)]++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "ReduceSupport(root): rank sent beyond its credit window");
-            }
-            fold(idx, UnpackElement(p, e, esz));
-          }
-        }
-        // (4) Send one pending credit.
-        if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-          ctx.net_out->Push(
-              MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-          pending_credits.pop_back();
-        }
-        // NextCycle keeps the default poll-every-cycle wake hint, so the
-        // event-driven engine polls this multi-FIFO loop each cycle exactly
-        // like the synchronous one — but only while a reduce is in flight;
-        // between collectives the kernel parks on the app_in pop above.
-        co_await NextCycle{};
-      }
-    } else {
-      const int root_global =
-          cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
+    if (algo == CollAlgo::kLinear && shape.parent >= 0) {
       int sent = 0;
-      int tile = 0;
-      while (sent < cfg.count) {
+      for (int tile = 0; sent < cfg.count; ++tile) {
         if (tile > 0) {
           const Packet credit = co_await fifo_pop(*ctx.net_in);
           if (credit.hdr.op != OpType::kCredit) {
@@ -297,7 +229,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx) {
         const int tile_end = std::min(cfg.count, (tile + 1) * C);
         while (sent < tile_end) {
           const int chunk = std::min(epp, tile_end - sent);
-          Packet data = MakeSync(ctx, root_global, OpType::kData);
+          Packet data = MakeSync(ctx, shape.parent, OpType::kData);
           for (int e = 0; e < chunk; ++e) {
             PackElement(data, e,
                         GetElement(co_await fifo_pop(*ctx.app_in),
@@ -308,8 +240,113 @@ Kernel ReduceSupportKernel(SupportCtx ctx) {
           co_await fifo_push(*ctx.net_out, data);
           sent += chunk;
         }
-        ++tile;
       }
+      NotifyCollectiveSyncPoint(ctx);  // channel close
+      continue;
+    }
+
+    const int sources = 1 + static_cast<int>(shape.children.size());
+    std::vector<Element> accum(static_cast<std::size_t>(C),
+                               ReduceIdentity(cfg.op, cfg.type));
+    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
+    std::map<int, int> child_next;  // per child global rank: next element
+    for (const int g : shape.children) child_next[g] = 0;
+    int local_next = 0;
+    int emitted = 0;            // elements delivered to app (root) or parent
+    int granted_tiles = 1;      // credits granted to children
+    int parent_credits = 1;     // credits received from the parent
+    std::vector<int> pending_credits;  // child global ranks to credit
+    Packet out = MakeSync(ctx, std::max(0, shape.parent), OpType::kData);
+    int out_fill = 0;
+
+    while (emitted < cfg.count) {
+      const Cycle now = *ctx.now;
+      // (1) Emit the next completed element.
+      if (contrib[static_cast<std::size_t>(emitted % C)] == sources) {
+        bool advanced = false;
+        const std::size_t slot = static_cast<std::size_t>(emitted % C);
+        if (shape.parent < 0) {
+          if (ctx.app_out->CanPush(now)) {
+            ctx.app_out->Push(CollToken(accum[slot]), now);
+            advanced = true;
+          }
+        } else if (emitted < parent_credits * C) {
+          // Stage into the outgoing packet; flush on full packet, tile
+          // boundary or message end.
+          PackElement(out, out_fill, accum[slot], esz);
+          ++out_fill;
+          const bool flush = out_fill == epp || (emitted + 1) % C == 0 ||
+                             emitted + 1 == cfg.count;
+          if (!flush) {
+            advanced = true;
+          } else if (ctx.net_out->CanPush(now)) {
+            out.hdr.count = static_cast<std::uint8_t>(out_fill);
+            ctx.net_out->Push(out, now);
+            out_fill = 0;
+            advanced = true;
+          } else {
+            --out_fill;  // retry next cycle
+          }
+        }
+        if (advanced) {
+          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
+          contrib[slot] = 0;
+          ++emitted;
+          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
+            ++granted_tiles;
+            pending_credits.insert(pending_credits.end(),
+                                   shape.children.begin(),
+                                   shape.children.end());
+          }
+        }
+      }
+      // (2) Fold one local element within the window.
+      if (local_next < cfg.count && local_next < emitted + C &&
+          ctx.app_in->CanPop(now)) {
+        const Element e = GetElement(ctx.app_in->Pop(now), "ReduceSupport");
+        const std::size_t slot = static_cast<std::size_t>(local_next % C);
+        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
+        ++contrib[slot];
+        ++local_next;
+      }
+      // (3) Fold one incoming packet (child partials or parent credit).
+      if (ctx.net_in->CanPop(now)) {
+        const Packet p = ctx.net_in->Pop(now);
+        if (p.hdr.op == OpType::kCredit) {
+          ++parent_credits;
+        } else if (p.hdr.op == OpType::kData) {
+          const auto it = child_next.find(p.hdr.src);
+          if (it == child_next.end()) {
+            throw ConfigError("ReduceSupport: data from a non-child: " +
+                              p.DebugString());
+          }
+          for (int e = 0; e < p.hdr.count; ++e) {
+            const int idx = it->second++;
+            if (idx >= granted_tiles * C) {
+              throw ConfigError(
+                  "ReduceSupport: child exceeded its credit window");
+            }
+            const std::size_t slot = static_cast<std::size_t>(idx % C);
+            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
+                                        UnpackElement(p, e, esz));
+            ++contrib[slot];
+          }
+        } else {
+          throw ConfigError("ReduceSupport: unexpected packet: " +
+                            p.DebugString());
+        }
+      }
+      // (4) Send one pending credit to a child.
+      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
+        ctx.net_out->Push(
+            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
+        pending_credits.pop_back();
+      }
+      // NextCycle keeps the default poll-every-cycle wake hint, so the
+      // event-driven engine polls this multi-FIFO loop each cycle exactly
+      // like the synchronous one — but only while a reduce is in flight;
+      // between collectives the kernel parks on the app_in pop above.
+      co_await NextCycle{};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
@@ -321,8 +358,8 @@ Kernel ReduceSupportKernel(SupportCtx ctx) {
 // streams that rank's `count` elements. The root's own segment is looped
 // back locally, element by element.
 // ---------------------------------------------------------------------------
-Kernel ScatterSupportKernel(SupportCtx ctx) {
-  ReadyLedger readies;
+Kernel Scatter(SupportCtx ctx) {
+  std::map<int, int> readies;  // per-source pending READY count
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "ScatterSupport");
@@ -344,15 +381,15 @@ Kernel ScatterSupportKernel(SupportCtx ctx) {
           continue;
         }
         const int g = cfg.comm_global[static_cast<std::size_t>(r)];
-        while (!readies.Has(g)) {
+        while (readies[g] == 0) {
           const Packet p = co_await fifo_pop(*ctx.net_in);
           if (p.hdr.op != OpType::kSync) {
             throw ConfigError("ScatterSupport: unexpected packet during "
                               "rendezvous: " + p.DebugString());
           }
-          readies.Record(p.hdr.src);
+          ++readies[p.hdr.src];
         }
-        readies.Consume(g);
+        --readies[g];
         int sent = 0;
         while (sent < cfg.count) {
           const int chunk = std::min(epp, cfg.count - sent);
@@ -395,7 +432,7 @@ Kernel ScatterSupportKernel(SupportCtx ctx) {
 // communicator rank order, which guarantees data arrives in an order that
 // can be streamed to the application without reordering buffers.
 // ---------------------------------------------------------------------------
-Kernel GatherSupportKernel(SupportCtx ctx) {
+Kernel Gather(SupportCtx ctx) {
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "GatherSupport");
@@ -456,6 +493,216 @@ Kernel GatherSupportKernel(SupportCtx ctx) {
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
+}
+
+// ---------------------------------------------------------------------------
+// Allreduce: the reduce-then-broadcast composition on a single collective
+// port (§4.4 names composition of the existing support kernels as the path
+// to further collectives), over the same tree shapes as Bcast and Reduce.
+// One kernel instance carries both phases:
+//
+//  * Up phase — the Reduce protocol: every node folds its application
+//    stream with its children's partials in a C-deep window and forwards
+//    completed elements to its parent, tile by tile under per-edge credit
+//    flow control. Unlike Reduce, *all* credits are explicit (including
+//    tile 0): a parent grants tile 0 when it enters the open, so a fast
+//    child can never push data from open k+1 into a parent still folding
+//    open k.
+//  * Down phase — the root's completed results double as the broadcast
+//    payload: each result is delivered to the local application and
+//    forwarded down the same tree, one child per cycle. Elements travel
+//    one per packet in both phases because the Allreduce channel is a
+//    per-element request/response rendezvous (see the in-loop comments).
+//    No READY rendezvous is needed: a down packet for open k can only
+//    exist after every rank contributed to open k, which implies every
+//    rank has entered open k.
+//
+// Credits that arrive while a node is still draining the previous open's
+// down phase are banked in a ledger keyed by the granting rank (the role
+// the READY count plays for Bcast/Scatter) and consumed when the next open
+// needs them.
+// ---------------------------------------------------------------------------
+Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
+  // Credits banked across opens, keyed by the granting (parent) global
+  // rank. Grants for open k+1 can arrive while this node still drains open
+  // k's down phase; totals per edge balance exactly (ceil(count/C) grants
+  // granted and consumed per open), so nothing leaks between parents.
+  std::map<int, int> credit_ledger;
+  for (;;) {
+    const CollConfig cfg =
+        GetConfig(co_await fifo_pop(*ctx.app_in), "AllreduceSupport");
+    NotifyCollectiveSyncPoint(ctx);  // channel open
+    const TreeShape shape = MakeTreeShape(
+        algo, cfg, MyCommRank(cfg, ctx.my_global, "AllreduceSupport"));
+    const bool is_root = shape.parent < 0;
+    const std::size_t esz = SizeOf(cfg.type);
+    const int C = std::max(1, cfg.credits);
+    const int sources = 1 + static_cast<int>(shape.children.size());
+
+    if (cfg.count == 0) continue;
+
+    // --- Up phase (reduce toward the root) ---
+    std::vector<Element> accum(static_cast<std::size_t>(C),
+                               ReduceIdentity(cfg.op, cfg.type));
+    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
+    std::map<int, int> child_next;  // per child global rank: next element
+    for (const int g : shape.children) child_next[g] = 0;
+    int local_next = 0;
+    int up_done = 0;        // elements fully folded and dispatched upward
+                            // (at the root: delivered + staged downward)
+    int granted_tiles = 1;  // tiles granted to children (tile 0 below)
+    int parent_tiles = 0;   // tiles of parent credit consumed this open
+    std::vector<int> pending_credits = shape.children;  // tile-0 grant
+    Packet up_pkt = MakeSync(ctx, std::max(0, shape.parent), OpType::kData);
+
+    // --- Down phase (result broadcast from the root) ---
+    int delivered = 0;  // result elements pushed to the application
+    Packet down_pkt = MakeSync(ctx, 0, OpType::kData);  // root result staging
+    std::vector<int> fwd_pending;  // children still owed the current packet
+    Packet cur_down;               // non-root: packet being delivered
+    int deliver_idx = 0;
+    bool have_down = false;
+
+    while (up_done < cfg.count || delivered < cfg.count ||
+           !fwd_pending.empty() || have_down) {
+      const Cycle now = *ctx.now;
+      // (1) Advance the up phase: once every source contributed the next
+      // element, it becomes a result (root) or flows to the parent under
+      // credit flow control.
+      if (up_done < cfg.count &&
+          contrib[static_cast<std::size_t>(up_done % C)] == sources) {
+        const std::size_t slot = static_cast<std::size_t>(up_done % C);
+        bool advanced = false;
+        if (is_root) {
+          // The result is final: deliver locally and stage it into the down
+          // packet, which must not still be in flight to the children.
+          if (fwd_pending.empty() && ctx.app_out->CanPush(now)) {
+            ctx.app_out->Push(CollToken(accum[slot]), now);
+            ++delivered;
+            if (!shape.children.empty()) {
+              // Same per-element rendezvous constraint as the up phase: a
+              // result held in a partially filled down packet would block
+              // every non-root rank's pop of that result.
+              PackElement(down_pkt, 0, accum[slot], esz);
+              down_pkt.hdr.count = 1;
+              fwd_pending = shape.children;
+            }
+            advanced = true;
+          }
+        } else {
+          if (up_done >= parent_tiles * C &&
+              credit_ledger[shape.parent] > 0) {
+            --credit_ledger[shape.parent];
+            ++parent_tiles;
+          }
+          if (up_done < parent_tiles * C &&
+              ctx.net_out->CanPush(now)) {
+            // One element per packet: the Allreduce channel is a per-element
+            // request/response rendezvous (the application pushes element i
+            // and blocks until result i returns), so holding element i in a
+            // partially filled packet would stall the whole communicator.
+            PackElement(up_pkt, 0, accum[slot], esz);
+            up_pkt.hdr.count = 1;
+            ctx.net_out->Push(up_pkt, now);
+            advanced = true;
+          }
+        }
+        if (advanced) {
+          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
+          contrib[slot] = 0;
+          ++up_done;
+          if (up_done % C == 0 && granted_tiles * C < cfg.count) {
+            ++granted_tiles;
+            for (const int g : shape.children) pending_credits.push_back(g);
+          }
+        }
+      }
+      // (2) Fold one local element within the accumulation window.
+      if (local_next < cfg.count && local_next < up_done + C &&
+          ctx.app_in->CanPop(now)) {
+        const Element e =
+            GetElement(ctx.app_in->Pop(now), "AllreduceSupport");
+        const std::size_t slot = static_cast<std::size_t>(local_next % C);
+        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
+        ++contrib[slot];
+        ++local_next;
+      }
+      // (3) Classify one incoming packet: parent credit, parent down-data,
+      // or child contribution. Held back while a down packet is still being
+      // delivered, so down packets are consumed strictly in order.
+      if (!have_down && ctx.net_in->CanPop(now)) {
+        const Packet p = ctx.net_in->Pop(now);
+        if (p.hdr.op == OpType::kCredit) {
+          ++credit_ledger[p.hdr.src];
+        } else if (p.hdr.op == OpType::kData && p.hdr.src == shape.parent) {
+          cur_down = p;
+          deliver_idx = 0;
+          have_down = true;
+          fwd_pending = shape.children;
+        } else if (p.hdr.op == OpType::kData &&
+                   child_next.count(p.hdr.src) != 0) {
+          auto& next = child_next[p.hdr.src];
+          for (int e = 0; e < p.hdr.count; ++e) {
+            const int idx = next++;
+            if (idx >= granted_tiles * C) {
+              throw ConfigError(
+                  "AllreduceSupport: child exceeded its credit window");
+            }
+            const std::size_t slot = static_cast<std::size_t>(idx % C);
+            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
+                                        UnpackElement(p, e, esz));
+            ++contrib[slot];
+          }
+        } else {
+          throw ConfigError("AllreduceSupport: unexpected packet: " +
+                            p.DebugString());
+        }
+      }
+      // (4) Deliver one element of the current down packet to the
+      // application.
+      if (have_down && deliver_idx < cur_down.hdr.count &&
+          ctx.app_out->CanPush(now)) {
+        ctx.app_out->Push(CollToken(UnpackElement(cur_down, deliver_idx, esz)),
+                          now);
+        ++deliver_idx;
+        ++delivered;
+      }
+      // (5) Forward the staged/current down packet to one child per cycle.
+      if (!fwd_pending.empty() && ctx.net_out->CanPush(now)) {
+        Packet p = is_root ? down_pkt : cur_down;
+        p.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
+        p.hdr.dst = static_cast<std::uint16_t>(fwd_pending.back());
+        ctx.net_out->Push(p, now);
+        fwd_pending.pop_back();
+      }
+      if (have_down && deliver_idx == cur_down.hdr.count &&
+          fwd_pending.empty()) {
+        have_down = false;
+      }
+      // (6) Send one pending credit to a child.
+      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
+        ctx.net_out->Push(
+            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
+        pending_credits.pop_back();
+      }
+      co_await NextCycle{};
+    }
+    NotifyCollectiveSyncPoint(ctx);  // channel close
+  }
+}
+
+}  // namespace
+
+Kernel MakeSupportKernel(CollKind kind, CollAlgo algo, SupportCtx ctx) {
+  if (algo == CollAlgo::kInnet) return InnetReduceSupportKernel(ctx);
+  switch (kind) {
+    case CollKind::kBcast: return Bcast(ctx, algo);
+    case CollKind::kReduce: return Reduce(ctx, algo);
+    case CollKind::kScatter: return Scatter(ctx);
+    case CollKind::kGather: return Gather(ctx);
+    case CollKind::kAllreduce: return Allreduce(ctx, algo);
+  }
+  throw ConfigError("unknown collective kind");
 }
 
 }  // namespace smi::core

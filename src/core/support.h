@@ -8,16 +8,22 @@
 /// between the application endpoint FIFOs and the CKS/CKR modules, and
 /// implements the coordination protocol of its collective:
 ///
-///  * Bcast / Scatter (one-to-all): every non-root sends a READY sync packet
-///    to the root; the root streams data only after the rendezvous, which
-///    prevents mixing of data from subsequently opened transient channels on
-///    the same port.
-///  * Gather (all-to-one): the root grants senders in communicator rank
-///    order, so data arrives in an order the root can stream out without
-///    reordering buffers.
-///  * Reduce (all-to-one): credit-based flow control with C credits; the
-///    root folds contributions in arrival order into a C-deep accumulator
-///    window and emits each result as soon as every rank has contributed it.
+///  * Bcast (one-to-all): every non-root sends a READY sync packet to its
+///    parent; a node streams data to a child only after that child's READY,
+///    which prevents mixing of data from subsequently opened transient
+///    channels on the same port. Inner nodes forward what they receive.
+///  * Reduce (all-to-one): credit-based flow control with C credits per
+///    tree edge; the root and inner nodes fold contributions in arrival
+///    order into a C-deep accumulator window and pass each element on as
+///    soon as all their sources have contributed it.
+///  * Allreduce: Reduce up the tree, then the results back down it.
+///  * Scatter / Gather: the root serves (Scatter, after a READY) or grants
+///    (Gather) the non-roots one at a time in communicator rank order, so
+///    data arrives in an order the receiver can stream without reordering.
+///
+/// Bcast, Reduce and Allreduce run over the TreeShape their CollAlgo names:
+/// the flat tree is the paper's linear scheme, the binomial tree its
+/// extension. The in-network Reduce is described in innet.h.
 ///
 /// Every kernel serves an unbounded sequence of channel opens (transient
 /// channels), each announced by a config token from the application. Both
@@ -55,31 +61,11 @@ struct SupportCtx {
 /// no hybrid-fidelity links exist.
 void NotifyCollectiveSyncPoint(const SupportCtx& ctx);
 
-/// The four support kernels (linear schemes of the reference
-/// implementation). Each runs forever (registered as a daemon).
-sim::Kernel BcastSupportKernel(SupportCtx ctx);
-sim::Kernel ReduceSupportKernel(SupportCtx ctx);
-sim::Kernel ScatterSupportKernel(SupportCtx ctx);
-sim::Kernel GatherSupportKernel(SupportCtx ctx);
-
-/// Binomial-tree variants of Bcast and Reduce (the §4.4 extension). Data
-/// flows along a binomial tree rooted at the runtime-selected root:
-/// logarithmic fan-out at every node instead of the root serializing to
-/// all n-1 peers.
-sim::Kernel TreeBcastSupportKernel(SupportCtx ctx);
-sim::Kernel TreeReduceSupportKernel(SupportCtx ctx);
-
-/// Allreduce (all-to-all reduction): a Reduce-up / Bcast-down composition
-/// sharing one collective port. Contributions flow toward relative rank 0
-/// under the Reduce credit protocol; completed results flow back down the
-/// same tree as data packets, and every rank's application receives all
-/// `count` reduced elements. `algo` selects the tree shape: kLinear is a
-/// flat tree (rank 0 parents everyone — the linear Reduce/Bcast pair),
-/// kTree the binomial tree of coll_tree.h.
-sim::Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo);
-
-/// Dispatch by kind/algo (used by the fabric builder). Scatter and Gather
-/// only exist in the linear variant; Allreduce exists in both.
+/// The support kernel for a `kind` collective built with `algo` (used by the
+/// fabric builder). Bcast, Reduce and Allreduce run over the TreeShape that
+/// `algo` names (coll_tree.h); Scatter and Gather are linear only and
+/// in-network is Reduce only, which the plan rejects before this point
+/// (CheckCollAlgo). The kernel runs forever (registered as a daemon).
 sim::Kernel MakeSupportKernel(CollKind kind, CollAlgo algo, SupportCtx ctx);
 
 }  // namespace smi::core

@@ -3,8 +3,8 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/coll_tree.h"
 #include "core/innet.h"
+#include "core/support_internal.h"
 
 /// \file support_innet.cpp
 /// The in-network Reduce support kernel (CollAlgo::kInnet) and the handler
@@ -30,38 +30,6 @@ using sim::fifo_pop;
 using sim::fifo_push;
 using transport::InnetEnvelope;
 
-CollConfig GetConfig(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<CollConfig>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a channel-open config token");
-  }
-  return std::get<CollConfig>(std::move(tok));
-}
-
-Element GetElement(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<Element>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a data element, got a config token");
-  }
-  return std::get<Element>(tok);
-}
-
-int MyCommRank(const CollConfig& cfg, int my_global, const char* kernel) {
-  for (std::size_t i = 0; i < cfg.comm_global.size(); ++i) {
-    if (cfg.comm_global[i] == my_global) return static_cast<int>(i);
-  }
-  throw ConfigError(std::string(kernel) + ": rank not in communicator");
-}
-
-Packet MakeSync(const SupportCtx& ctx, int dst_global, OpType op) {
-  Packet p;
-  p.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
-  p.hdr.dst = static_cast<std::uint16_t>(dst_global);
-  p.hdr.port = static_cast<std::uint8_t>(ctx.port);
-  p.hdr.op = op;
-  return p;
-}
-
 /// Element accessors offset past the 8-byte envelope.
 void PackInnetElement(Packet& pkt, int index, const Element& e,
                       std::size_t size) {
@@ -74,13 +42,6 @@ Element UnpackInnetElement(const Packet& pkt, int index, std::size_t size) {
   pkt.LoadBytes(InnetEnvelope::kBytes + static_cast<std::size_t>(index) * size,
                 e.bytes.data(), size);
   return e;
-}
-
-/// Root-relative rank -> global rank.
-int RelToGlobal(const CollConfig& cfg, int rel) {
-  const int n = static_cast<int>(cfg.comm_global.size());
-  const int comm_rank = (rel + cfg.root_comm) % n;
-  return cfg.comm_global[static_cast<std::size_t>(comm_rank)];
 }
 
 /// The per-(op, type) packet-fold function injected into the transport. A
@@ -122,21 +83,9 @@ transport::HandlerEntry::CombineFn MakeInnetCombiner(ReduceOp op,
 }
 
 void AppendInnetHandlers(std::vector<transport::HandlerTable>& tables,
-                         int port, ReduceOp op, DataType type, int root_global,
-                         const std::vector<int>& comm_global, int hold_cycles,
+                         int port, ReduceOp op, DataType type, int hold_cycles,
                          const std::vector<int>& funnel_contribs,
                          const std::vector<std::vector<int>>& fan_children) {
-  const int n = static_cast<int>(comm_global.size());
-  if (n < 2) return;  // nothing moves through the network
-  int root_comm = -1;
-  for (std::size_t i = 0; i < comm_global.size(); ++i) {
-    if (comm_global[i] == root_global) root_comm = static_cast<int>(i);
-  }
-  if (root_comm < 0) {
-    throw ConfigError("AppendInnetHandlers: root rank " +
-                      std::to_string(root_global) + " not in communicator");
-  }
-
   // Reduce-in-transit combining on every rank — transit hops (including
   // forwarding-only switches) are where contribution streams funnel. The
   // per-rank max_contribs is the rank's funnel in-degree (see innet.h): a
@@ -149,41 +98,20 @@ void AppendInnetHandlers(std::vector<transport::HandlerTable>& tables,
   combine.combine = MakeInnetCombiner(op, type);
   combine.hold_cycles = hold_cycles;
   for (std::size_t g = 0; g < tables.size(); ++g) {
-    combine.max_contribs =
-        g < funnel_contribs.size() ? std::max(1, funnel_contribs[g]) : n - 1;
+    combine.max_contribs = std::max(1, funnel_contribs.at(g));
     tables[g].Add(combine);
   }
 
   // Credit fan-out: one entry per non-leaf of the grant fan tree, so the
-  // root's one self-addressed grant reaches all n-1 ranks. The Cluster
-  // passes a routing-derived tree (fan distance == data distance; see
-  // innet.h "stream pacing"); without it, fall back to a binomial tree over
-  // the communicator.
-  if (!fan_children.empty()) {
-    for (std::size_t g = 0; g < tables.size(); ++g) {
-      if (g >= fan_children.size() || fan_children[g].empty()) continue;
-      transport::HandlerEntry fan;
-      fan.cls = transport::HandlerClass::kFanOut;
-      fan.port = port;
-      fan.op = OpType::kCredit;
-      fan.fan_dsts = fan_children[g];
-      tables[g].Add(std::move(fan));
-    }
-    return;
-  }
-  for (int rel = 0; rel < n; ++rel) {
-    const std::vector<int> children = BinomialChildren(rel, n);
-    if (children.empty()) continue;
+  // root's one self-addressed grant reaches all n-1 ranks.
+  for (std::size_t g = 0; g < tables.size(); ++g) {
+    if (fan_children.at(g).empty()) continue;
     transport::HandlerEntry fan;
     fan.cls = transport::HandlerClass::kFanOut;
     fan.port = port;
     fan.op = OpType::kCredit;
-    for (const int child : children) {
-      fan.fan_dsts.push_back(
-          comm_global[static_cast<std::size_t>((child + root_comm) % n)]);
-    }
-    const int g = comm_global[static_cast<std::size_t>((rel + root_comm) % n)];
-    tables[static_cast<std::size_t>(g)].Add(std::move(fan));
+    fan.fan_dsts = fan_children[g];
+    tables[g].Add(std::move(fan));
   }
 }
 
@@ -204,14 +132,13 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
     const std::uint16_t my_epoch = epoch++;
     const int n = static_cast<int>(cfg.comm_global.size());
     const int me = MyCommRank(cfg, ctx.my_global, "InnetReduceSupport");
-    const int rel = (me - cfg.root_comm + n) % n;
     const std::size_t esz = SizeOf(cfg.type);
     const int epp = static_cast<int>(InnetEnvelope::ElementsPerPacket(esz));
     const int C = std::max(1, cfg.credits);
     if (cfg.count == 0) continue;
     const int tiles = (cfg.count + C - 1) / C;
 
-    if (rel == 0) {
+    if (me == cfg.root_comm) {
       // ---- root ----
       // The accumulation window covers the grant round-trip (fan-tree
       // descent + pacing + contribution travel, ~2*D*L_hop cycles) plus the
@@ -311,7 +238,8 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
       }
     } else {
       // ---- non-root ----
-      const int root_global = RelToGlobal(cfg, 0);
+      const int root_global =
+          cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
       int done = 0;      // elements sent
       int fill = 0;      // elements staged in `out`
       int credits = 0;   // grants + the final close-barrier credit

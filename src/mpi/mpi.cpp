@@ -86,8 +86,7 @@ json::Value DecisionLog::ToJson() const {
     o["collective"] = json::Value(core::CollKindName(std::get<0>(key)));
     o["bytes"] = json::Value(static_cast<std::int64_t>(std::get<1>(key)));
     o["comm"] = json::Value(std::get<2>(key));
-    o["algorithm"] = json::Value(
-        value.first == core::CollAlgo::kTree ? "tree" : "linear");
+    o["algorithm"] = json::Value(core::CollAlgoName(value.first));
     o["calls"] = json::Value(static_cast<std::int64_t>(value.second));
     out.push_back(json::Value(std::move(o)));
   }

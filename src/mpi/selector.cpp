@@ -5,13 +5,13 @@
 namespace smi::mpi {
 namespace {
 
-const char* AlgoName(core::CollAlgo algo) {
-  return algo == core::CollAlgo::kTree ? "tree" : "linear";
-}
-
+// The selector routes between the linear and tree ports the MPI shim
+// instantiates; the in-network algo is not among them.
 core::CollAlgo AlgoFromName(const std::string& name, std::size_t rule) {
-  if (name == "linear") return core::CollAlgo::kLinear;
-  if (name == "tree") return core::CollAlgo::kTree;
+  for (const core::CollAlgo algo :
+       {core::CollAlgo::kLinear, core::CollAlgo::kTree}) {
+    if (name == core::CollAlgoName(algo)) return algo;
+  }
   throw ParseError("selector rule " + std::to_string(rule) +
                    ": unknown algorithm '" + name + "'");
 }
@@ -88,7 +88,7 @@ json::Value Selector::ToJson() const {
     o["max_comm"] = json::Value(r.max_comm);
     o["min_bytes"] = json::Value(static_cast<std::int64_t>(r.min_bytes));
     o["max_bytes"] = json::Value(static_cast<std::int64_t>(r.max_bytes));
-    o["algorithm"] = json::Value(AlgoName(r.algo));
+    o["algorithm"] = json::Value(core::CollAlgoName(r.algo));
     rules.push_back(json::Value(std::move(o)));
   }
   json::Object root;

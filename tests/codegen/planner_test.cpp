@@ -124,5 +124,24 @@ TEST(Planner, InnetJsonRoundTrip) {
                    plan.EstimateResources().luts);
 }
 
+TEST(Planner, JsonRejectsAlgoWithoutSupportKernel) {
+  ProgramSpec spec;
+  spec.Add(OpSpec::Scatter(1, DataType::kInt));
+  json::Value doc = Plan(spec, 4).ToJson();
+  auto set_algo = [&](const char* algo) {
+    doc.as_object()["support_kernels"].as_array()[0].as_object()["algo"] =
+        json::Value(algo);
+  };
+  set_algo("tree");
+  EXPECT_THROW(FabricPlan::FromJson(doc), ConfigError);
+  set_algo("innet");
+  EXPECT_THROW(FabricPlan::FromJson(doc), ConfigError);
+  set_algo("ring");
+  EXPECT_THROW(FabricPlan::FromJson(doc), ParseError);
+  set_algo("linear");
+  EXPECT_EQ(FabricPlan::FromJson(doc).support_kernels[0].algo,
+            core::CollAlgo::kLinear);
+}
+
 }  // namespace
 }  // namespace smi::codegen

@@ -1,5 +1,5 @@
 /// \file allreduce_test.cpp
-/// AllreduceChannel + AllreduceSupportKernel: the reduce-then-broadcast
+/// AllreduceChannel + the Allreduce support kernel: the reduce-then-broadcast
 /// composition on one collective port. Every rank both contributes and
 /// receives, so unlike Reduce the result is checked on all ranks.
 

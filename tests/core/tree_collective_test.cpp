@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <map>
 #include <vector>
 
 #include "core/coll_tree.h"
@@ -87,6 +88,74 @@ TEST(BinomialTree, DegenerateShapes) {
   EXPECT_THROW(BinomialParent(-1), ConfigError);
   EXPECT_THROW(BinomialChildren(-1, 4), ConfigError);
   EXPECT_THROW(BinomialChildren(4, 4), ConfigError);
+}
+
+// Flat shape = the linear scheme's loop order; binomial shape = the
+// BinomialParent/BinomialChildren tree rotated to the root. Both must span
+// the communicator: each child names its parent and every non-root is
+// reached exactly once from the root.
+TEST(TreeShape, FlatAndBinomialSpanTheCommunicator) {
+  for (int n = 1; n <= 33; ++n) {
+    CollConfig cfg;
+    // Global ranks unrelated to communicator ranks, so a mix-up shows.
+    for (int r = 0; r < n; ++r) cfg.comm_global.push_back(3 * (n - r) + 1);
+    const auto global = [&](int comm) {
+      return cfg.comm_global[static_cast<std::size_t>(comm)];
+    };
+    for (int root = 0; root < n; ++root) {
+      cfg.root_comm = root;
+      for (const CollAlgo algo : {CollAlgo::kLinear, CollAlgo::kTree}) {
+        std::map<int, TreeShape> shapes;  // by global rank
+        for (int me = 0; me < n; ++me) {
+          const TreeShape shape = MakeTreeShape(algo, cfg, me);
+          const int rel = (me - root + n) % n;
+          std::vector<int> expect_children;
+          int expect_parent = -1;
+          if (algo == CollAlgo::kLinear) {
+            if (me == root) {
+              for (int r = 0; r < n; ++r) {
+                if (r != root) expect_children.push_back(global(r));
+              }
+            } else {
+              expect_parent = global(root);
+            }
+          } else {
+            for (const int c : BinomialChildren(rel, n)) {
+              expect_children.push_back(global((c + root) % n));
+            }
+            if (rel != 0) {
+              expect_parent = global((BinomialParent(rel) + root) % n);
+            }
+          }
+          EXPECT_EQ(shape.parent, expect_parent)
+              << "n=" << n << " root=" << root << " me=" << me;
+          EXPECT_EQ(shape.children, expect_children)
+              << "n=" << n << " root=" << root << " me=" << me;
+          shapes.emplace(global(me), shape);
+        }
+        std::map<int, int> reached;
+        std::vector<int> stack{global(root)};
+        while (!stack.empty()) {
+          const int at = stack.back();
+          stack.pop_back();
+          for (const int child : shapes.at(at).children) {
+            EXPECT_EQ(shapes.at(child).parent, at);
+            ++reached[child];
+            stack.push_back(child);
+          }
+        }
+        ASSERT_EQ(reached.size(), static_cast<std::size_t>(n - 1))
+            << "n=" << n << " root=" << root;
+        for (const auto& [g, times] : reached) {
+          EXPECT_NE(g, global(root));
+          EXPECT_EQ(times, 1) << "rank " << g;
+        }
+      }
+    }
+  }
+  CollConfig cfg;
+  cfg.comm_global = {0, 1};
+  EXPECT_THROW(MakeTreeShape(CollAlgo::kInnet, cfg, 0), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,11 +289,14 @@ TEST(TreeCollectives, SuccessiveTreeBcasts) {
 }
 
 TEST(TreeCollectives, TreeScatterIsRejected) {
-  ProgramSpec spec;
-  OpSpec op = OpSpec::Scatter(0, DataType::kInt);
-  op.algo = CollAlgo::kTree;
-  spec.Add(op);
-  EXPECT_THROW(Cluster(Topology::Bus(2), spec), ConfigError);
+  // Only Bcast, Reduce and Allreduce run over a tree: the plan rejects a
+  // tree Scatter or Gather as it is added.
+  for (OpSpec op : {OpSpec::Scatter(0, DataType::kInt),
+                    OpSpec::Gather(0, DataType::kInt)}) {
+    op.algo = CollAlgo::kTree;
+    ProgramSpec spec;
+    EXPECT_THROW(spec.Add(op), ConfigError) << OpKindName(op.kind);
+  }
 }
 
 TEST(TreeCollectives, TreeBcastIsFasterAtScale) {
