@@ -285,7 +285,7 @@ struct LinkCounters {
   std::uint64_t seq_discards = 0;        ///< duplicate/out-of-order frames (RX)
   Journal rx_journal;
   Journal tx_journal;
-  /// Fidelity-mode counters of a FlowLink (null for cycle-only links); set
+  /// Fidelity-mode counters of a FlowLink (null under kCycle fidelity); set
   /// by the link at attach time, exported under "fidelity" in CountersJson.
   const FidelityCounters* fidelity = nullptr;
   bool trace = false;

@@ -127,9 +127,9 @@ class CutLink {
   virtual const FifoBase* rx_wake_fifo() const = 0;
   virtual Cycle NextRxSelfWake(Cycle now) const = 0;
 
-  /// Sender half's timed self-wake. The lossless link's sender only ever
-  /// reacts to FIFO activity, hence the kNever default; a reliable link also
-  /// wakes on acknowledgement maturity and retransmission timeouts.
+  /// Sender half's timed self-wake. The lossless `FlowLink`'s sender only
+  /// ever reacts to FIFO activity, hence the kNever default; a reliable link
+  /// also wakes on acknowledgement maturity and retransmission timeouts.
   virtual Cycle NextTxSelfWake(Cycle /*now*/) const { return kNeverCycle; }
 
   /// Bracket a parallel run. Called for *every* cut component (split or

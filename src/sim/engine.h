@@ -154,10 +154,10 @@ struct EngineConfig {
   /// intervals and per-link packet hops); implies counter collection.
   bool collect_trace = false;
   /// Link-fidelity policy (see sim/fidelity.h). With mode kCycle (default)
-  /// the fabric builds the classic cycle-accurate links; kFlow/kAuto make
-  /// it build FlowLinks that switch to the calibrated flow-level model in
-  /// steady state. The parallel scheduler pins every FlowLink to cycle
-  /// accuracy for the duration of each Run, so results stay bit-identical.
+  /// every FlowLink the fabric builds stays cycle-accurate; kFlow/kAuto let
+  /// it switch to the calibrated flow-level model in steady state. The
+  /// parallel scheduler pins every FlowLink to cycle accuracy for the
+  /// duration of each Run, so results stay bit-identical.
   FidelityPolicy fidelity;
 };
 

@@ -4,15 +4,16 @@
 /// \file fidelity.h
 /// Per-link simulation-fidelity policy: cycle-accurate vs flow-level.
 ///
-/// The cycle-accurate link models (`sim::Link`, `sim::ReliableLink`) step
-/// every cycle while traffic flows. In uncongested steady state that work is
-/// pure overhead: the link accepts exactly one payload per cycle and
-/// delivers it `latency` cycles later, a behaviour that a closed-form
-/// expression reproduces exactly. `FlowLink` (flow_link.h) exploits this: it
-/// starts cycle-accurate and, once a link has been provably undisturbed for
-/// a configurable window, replaces per-cycle stepping with one *modeled
-/// wake* per `flow_interval` cycles that moves payloads in bulk using the
-/// analytic estimate below. Any event the analytic model cannot capture —
+/// The cycle-accurate link models (`FlowLink` in cycle mode,
+/// `ReliableLink`) step every cycle while traffic flows. In uncongested
+/// steady state that work is pure overhead: the link accepts exactly one
+/// payload per cycle and delivers it `latency` cycles later, a behaviour
+/// that a closed-form expression reproduces exactly. `FlowLink`
+/// (flow_link.h) exploits this: under kFlow/kAuto it starts cycle-accurate
+/// and, once a link has been provably undisturbed for a configurable
+/// window, replaces per-cycle stepping with one *modeled wake* per
+/// `flow_interval` cycles that moves payloads in bulk using the analytic
+/// estimate below. Any event the analytic model cannot capture —
 /// congestion onset, a fault plan on the link, a collective
 /// synchronization point, a parallel-scheduler run — demotes the link back
 /// to cycle accuracy (see DESIGN.md §10 for the full state machine).

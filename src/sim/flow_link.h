@@ -2,17 +2,25 @@
 #define SMI_SIM_FLOW_LINK_H
 
 /// \file flow_link.h
-/// Hybrid-fidelity serial link: cycle-accurate with a calibrated flow-level
-/// fast path.
+/// Lossless serial link, cycle-accurate with a calibrated flow-level path.
 ///
-/// `FlowLink` is a drop-in replacement for `sim::Link` that runs a two-mode
-/// state machine per link (see sim/fidelity.h and DESIGN.md §10):
+/// A link moves one payload per cycle (one 256-bit packet per fabric cycle
+/// = 40 Gbit/s) through a fixed-latency pipeline between two ranks' network
+/// interface FIFOs. Like the QSFP/BSP shell of the paper's boards, which
+/// does error correction and credit-based flow control, it is lossless: it
+/// stalls instead of dropping when the receiver FIFO is full. The credit
+/// window is `latency + 1` slots and a cycle delivers *before* it accepts,
+/// so a permanently full window still sustains one payload per cycle.
 ///
-///  * *cycle mode* (initial): steps exactly like `Link` — bit-identical
-///    behaviour, including the credit window and observability hooks — while
-///    counting consecutive-cycle accepted payloads. A credit stall, a
-///    delivery blocked on a full RX FIFO, or simply an idle TX cycle resets
-///    the count, so only a saturated (one payload per cycle) stream
+/// `FlowLink` runs a two-mode state machine per link (see sim/fidelity.h
+/// and DESIGN.md §10). Under the default `FidelityMode::kCycle` it never
+/// leaves cycle mode and stays invisible to the fidelity machinery (no
+/// engine registration, no fidelity counters in the telemetry):
+///
+///  * *cycle mode* (initial): steps cycle-accurately while counting
+///    consecutive-cycle accepted payloads. A credit stall, a delivery
+///    blocked on a full RX FIFO, or simply an idle TX cycle resets the
+///    count, so only a saturated (one payload per cycle) stream
 ///    accumulates evidence. After `FidelityPolicy::steady_window` such
 ///    cycles the link *promotes*.
 ///  * *flow mode*: per-cycle stepping stops. The link suspends its FIFO
@@ -96,15 +104,7 @@ class FlowLink final : public Component,
     promote_after_ =
         policy_.mode == FidelityMode::kFlow ? 1 : policy_.steady_window;
     if (promote_after_ == 0) promote_after_ = 1;
-    // In-flight ring: sized for the flow-mode backlog cap (credit window
-    // plus one interval); FlightGrow handles any excess defensively.
-    std::size_t ring = 2;
-    const std::size_t cap = static_cast<std::size_t>(latency_) + 2 +
-                            static_cast<std::size_t>(interval_);
-    while (ring < cap) ring <<= 1;
-    flight_.resize(ring);
-    flight_mask_ = ring - 1;
-    engine.RegisterFlowLink(this);
+    if (policy_.enabled()) engine.RegisterFlowLink(this);
   }
 
   void Step(Cycle now) override {
@@ -118,6 +118,8 @@ class FlowLink final : public Component,
     CycleStep(now);
   }
 
+  /// Wake contract: FIFO activity wakes the link; in cycle mode the only
+  /// timed wake is the head maturing (a stalled head waits for an RX pop).
   void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
     out.push_back(tx_);
     out.push_back(rx_);
@@ -126,18 +128,14 @@ class FlowLink final : public Component,
     // Invariant: while FIFO wakes are suspended (flow mode) this must
     // return a finite cycle, or the link would sleep forever.
     if (flow_mode_) return flow_due_ > now ? flow_due_ : now + 1;
-    if (flight_count_ > 0 && FrontReady() > now) return FrontReady();
-    return kNeverCycle;
+    return NextRxSelfWake(now);
   }
 
   std::uint64_t delivered() const { return delivered_; }
-  Cycle latency() const { return latency_; }
-  /// Effective modeled-wake interval after the FIFO-capacity clamp.
-  Cycle flow_interval() const { return interval_; }
 
   void AttachObservability(obs::Recorder& recorder) override {
     obs_ = recorder.AddLink(name(), latency_);
-    obs_->fidelity = &counters_;
+    if (policy_.enabled()) obs_->fidelity = &counters_;
   }
 
   // --- FlowLinkControl --------------------------------------------------
@@ -181,11 +179,16 @@ class FlowLink final : public Component,
   const std::string& flow_link_name() const override { return name(); }
   bool in_flow_mode() const override { return flow_mode_; }
 
-  // --- CutLink implementation (parallel scheduler) ----------------------
+  // --- CutLink implementation (parallel scheduler; see component.h) ------
   //
-  // Identical to sim::Link's: during parallel runs the engine pins the link
-  // to cycle mode (SetForcedCycle), so the split halves operate on plain
-  // cycle-accurate state. See link.h for the exactness argument.
+  // Parallel runs pin the link to cycle mode (SetForcedCycle); the halves
+  // reuse CycleStep's `Deliver` and `Admit`. The in-flight ring becomes the
+  // receiver's pending queue and the sender stages accepts in `staging_`
+  // until the next barrier. `tx_outstanding_`, the sender's stale credit
+  // view, is exact at each barrier, drops once for a delivery the barrier
+  // predicted at the epoch-start cycle, and otherwise only grows: it
+  // over-estimates occupancy, so it never allows an accept the fused step
+  // would have stalled.
 
   Cycle link_latency() const override { return latency_; }
 
@@ -196,49 +199,37 @@ class FlowLink final : public Component,
     delivery_log_.clear();
   }
 
-  void EndSplit() override {
-    for (Slot& slot : staging_) {
-      FlightPush(std::move(slot.payload), slot.ready_at);
-    }
-    staging_.clear();
-    delivery_log_.clear();
-  }
+  void EndSplit() override { MergeStaging(); }
 
   void StepTx(Cycle now) override {
     if (d0_cycle_ != kNeverCycle && now >= d0_cycle_) {
+      // The delivery predicted for the epoch-start cycle has happened by
+      // now; apply the credit before the accept check, matching the fused
+      // step's deliver-then-accept order.
       --tx_outstanding_;
       d0_cycle_ = kNeverCycle;
     }
-    const bool has_data = tx_->CanPop(now);
-    const bool accept = has_data && tx_outstanding_ <
-                                        static_cast<std::size_t>(latency_) + 1;
-    if (accept) {
-      staging_.push_back(Slot{tx_->Pop(now), now + latency_});
-      ++tx_outstanding_;
-    }
-    if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !accept);
+    if (!Admit(now, tx_outstanding_)) return;
+    staging_.push_back(Slot{tx_->Pop(now), now + latency_});
+    ++tx_outstanding_;
   }
 
   void StepRx(Cycle now) override {
-    if (flight_count_ > 0 && FrontReady() <= now && rx_->CanPush(now)) {
-      const T payload = FlightPop();
-      rx_->Push(payload, now);
-      ++delivered_;
-      delivery_log_.push_back(now);
-      if (obs_ != nullptr) obs_->OnDeliver(now);
-    }
+    if (Deliver(now)) delivery_log_.push_back(now);
   }
 
   Cycle ExchangeAtBarrier(Cycle epoch_start) override {
-    for (Slot& slot : staging_) {
-      FlightPush(std::move(slot.payload), slot.ready_at);
-    }
-    staging_.clear();
-    delivery_log_.clear();
+    // Hand last epoch's accepts to the receiver side; every payload not yet
+    // delivered now sits in the pending queue, which resets the credits.
+    MergeStaging();
     tx_outstanding_ = flight_count_;
-    const bool d0 = flight_count_ > 0 && FrontReady() <= epoch_start &&
-                    rx_->CanPush(epoch_start);
+    // The delivery at the epoch-start cycle is decided entirely by state
+    // committed before the barrier, so predict it exactly.
+    const bool d0 = HeadMatured(epoch_start) && rx_->CanPush(epoch_start);
     d0_cycle_ = d0 ? epoch_start : kNeverCycle;
+    // Credit slack: with `window` payloads outstanding after the predicted
+    // delivery and at most one accept per cycle, the sender's stale count
+    // cannot wrongly hit the window cap for this many cycles.
     const std::size_t cap = static_cast<std::size_t>(latency_) + 1;
     const std::size_t window = tx_outstanding_ - (d0 ? 1 : 0);
     return cap > window ? static_cast<Cycle>(cap - window) : Cycle{1};
@@ -275,55 +266,74 @@ class FlowLink final : public Component,
     std::uint32_t step;
   };
 
-  /// Cycle-accurate step: mirrors sim::Link::Step exactly, plus the
-  /// steady-state detector feeding the promotion decision.
+  /// Cycle-accurate step (deliver, then accept) plus the steady-state
+  /// detector feeding the promotion decision.
   void CycleStep(Cycle now) {
     if (!forced_cycle_) ++counters_.stepped_cycles;
-    bool disturbed = false;
-    const bool head_ready = flight_count_ > 0 && FrontReady() <= now;
-    if (head_ready && rx_->CanPush(now)) {
-      const T payload = FlightPop();
-      rx_->Push(payload, now);
-      ++delivered_;
-      if (obs_ != nullptr) obs_->OnDeliver(now);
-    } else if (head_ready) {
-      // Matured payload blocked by RX backpressure: congestion.
-      disturbed = true;
-    }
-    const bool has_data = tx_->CanPop(now);
-    const bool accept =
-        has_data && flight_count_ < static_cast<std::size_t>(latency_) + 1;
-    if (accept) {
-      FlightPush(tx_->Pop(now), now + latency_);
-    }
-    if (has_data && !accept) disturbed = true;  // credit stall
-    if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !accept);
-
-    if (disturbed || !accept) {
-      // A stall, a blocked delivery or an idle TX cycle all reset the
-      // steady-state evidence: only a stream that accepts on *consecutive*
-      // cycles is bandwidth-bound. A trickle (ping-pong, rendezvous
-      // traffic) keeps resetting and stays cycle-accurate, which is what
-      // its latency-sensitive timing needs.
+    const bool blocked = !Deliver(now) && HeadMatured(now);  // congestion
+    const bool accept = Admit(now, flight_count_);
+    if (accept) FlightPush(tx_->Pop(now), now + latency_);
+    if (blocked || !accept) {
+      // A credit stall, a blocked delivery or an idle TX cycle all reset
+      // the steady-state evidence: only a stream that accepts on
+      // *consecutive* cycles is bandwidth-bound. A trickle (ping-pong,
+      // rendezvous traffic) keeps resetting and stays cycle-accurate,
+      // which is what its latency-sensitive timing needs.
       steady_accepts_ = 0;
-    } else {
-      ++steady_accepts_;
-      // Fast path: a committed TX backlog of a full interval while
-      // accepting every cycle proves saturation outright — a trickle can
-      // never bank that much — and guarantees the first modeled wake has a
-      // whole interval's worth to move. This is what keeps promotion from
-      // sweeping serially down a chain: when an upstream link promotes,
-      // its bulk commits hand every downstream link the backlog evidence
-      // within a few cycles instead of a fresh steady window each.
-      const bool saturated =
-          fast_promote_ && steady_accepts_ >= kFastPromoteAccepts &&
-          tx_->ModeledPopBudget() >= static_cast<std::uint64_t>(interval_);
-      if (flow_capable_ && !forced_cycle_ &&
-          (steady_accepts_ >= promote_after_ || saturated)) {
-        Promote(now);
-        CascadePromote(now);
-      }
+      return;
     }
+    ++steady_accepts_;
+    if (!flow_capable_ || forced_cycle_) return;
+    // Fast path: a committed TX backlog of a full interval while accepting
+    // every cycle proves saturation outright — a trickle can never bank
+    // that much — and guarantees the first modeled wake has a whole
+    // interval's worth to move. This is what keeps promotion from sweeping
+    // serially down a chain: when an upstream link promotes, its bulk
+    // commits hand every downstream link the backlog evidence within a few
+    // cycles instead of a fresh steady window each.
+    const bool saturated =
+        fast_promote_ && steady_accepts_ >= kFastPromoteAccepts &&
+        tx_->ModeledPopBudget() >= static_cast<std::uint64_t>(interval_);
+    if (steady_accepts_ >= promote_after_ || saturated) {
+      Promote(now);
+      CascadePromote(now);
+    }
+  }
+
+  bool HeadMatured(Cycle now) const {
+    return flight_count_ > 0 && FrontReady() <= now;
+  }
+
+  /// Deliver the pipeline head if it has matured and the RX FIFO can take
+  /// it; a full RX FIFO stalls the pipeline (flow control keeps the link
+  /// lossless). Shared by CycleStep and the split StepRx.
+  bool Deliver(Cycle now) {
+    if (!HeadMatured(now) || !rx_->CanPush(now)) return false;
+    rx_->Push(FlightPop(), now);
+    ++delivered_;
+    if (obs_ != nullptr) obs_->OnDeliver(now);
+    return true;
+  }
+
+  /// Whether this cycle admits one TX payload into a credit window holding
+  /// `outstanding` payloads; records the credit-stall state (data waiting,
+  /// window full), which holds until the next step. Shared by CycleStep and
+  /// the split StepTx.
+  bool Admit(Cycle now, std::size_t outstanding) {
+    const bool has_data = tx_->CanPop(now);
+    const bool admit =
+        has_data && outstanding < static_cast<std::size_t>(latency_) + 1;
+    if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !admit);
+    return admit;
+  }
+
+  /// Move the sender side's staged payloads into the in-flight ring.
+  void MergeStaging() {
+    for (Slot& slot : staging_) {
+      FlightPush(std::move(slot.payload), slot.ready_at);
+    }
+    staging_.clear();
+    delivery_log_.clear();
   }
 
   /// Modeled wake: bulk-deliver matured payloads, bulk-accept the elapsed
@@ -578,10 +588,10 @@ class FlowLink final : public Component,
     flight_count_ -= m;
   }
 
-  /// Grow the ring to fit `need` more payloads (defensive; the constructor
-  /// sizes it for the flow-mode backlog cap).
+  /// Grow the ring (a power of two, empty until the first payload) to fit
+  /// `need` more payloads. Idle links thus cost no ring at all.
   void FlightGrow(std::size_t need) {
-    std::size_t size = flight_.size();
+    std::size_t size = std::max<std::size_t>(flight_.size(), 2);
     while (size < flight_count_ + need) size <<= 1;
     std::vector<T> next(size);
     for (std::size_t i = 0; i < flight_count_; ++i) {
@@ -640,8 +650,8 @@ class FlowLink final : public Component,
   std::uint64_t thrash_transitions_ = 0;
   bool thrash_warned_ = false;
 
-  // Link state: behaviour identical to sim::Link's in-flight deque, stored
-  // as a contiguous payload ring + batch-compressed ready stamps.
+  // Link state: the in-flight pipeline, stored as a contiguous payload ring
+  // + batch-compressed ready stamps.
   std::vector<T> flight_;
   std::size_t flight_mask_ = 1;
   std::size_t flight_head_ = 0;   ///< monotone; mask on access

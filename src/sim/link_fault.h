@@ -12,10 +12,9 @@
 /// wire entries (retransmissions) at the same cycles in a different real-time
 /// order than the synchronous scheduler.
 ///
-/// The hook is queried by both the lossless `Link` (where a drop simply
-/// loses the payload — useful to demonstrate why reliability is needed) and
-/// by `ReliableLink`, which layers sequence numbers, checksums and go-back-N
-/// retransmission on top (channel 1 carries its acknowledgements).
+/// The hook is queried by `ReliableLink`, which layers sequence numbers,
+/// checksums and go-back-N retransmission on top (channel 1 carries its
+/// acknowledgements).
 ///
 /// `LinkDeathSink` is how a link reports permanent failure (retry budget
 /// exhausted) upward; the transport fabric implements it to trigger

@@ -4,7 +4,7 @@
 /// \file reliable_link.h
 /// Serial link with an explicit link-level reliability protocol, for fabrics
 /// whose transceivers do *not* hide error handling in the BSP shell (the
-/// lossless `Link` models the paper's Nallatech boards, where they do).
+/// lossless `FlowLink` models the paper's Nallatech boards, where they do).
 ///
 /// Protocol: go-back-N.
 ///  * Every frame carries a sequence number and an FNV-1a checksum computed

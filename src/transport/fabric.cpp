@@ -325,19 +325,12 @@ void Fabric::BuildLinks(
           link.set_death_sink(this, link_index);
         }
         rec.rlink = &link;
-        rec.fault_pinned = fidelity.enabled();
-      } else if (fidelity.enabled()) {
+      } else {
         sim::FlowLink<net::Packet>& link =
             engine.MakeComponent<sim::FlowLink<net::Packet>>(
                 engine, link_name, tx, rx, config_.link_latency, fidelity);
         engine.MarkCutComponent(link, link, from.rank, to.rank);
         rec.flow = &link;
-      } else {
-        sim::Link<net::Packet>& link =
-            engine.MakeComponent<sim::Link<net::Packet>>(
-                link_name, tx, rx, config_.link_latency);
-        engine.MarkCutComponent(link, link, from.rank, to.rank);
-        rec.plain = &link;
       }
       if (from.rank == a.rank) {
         cables_[cable_index].fwd_link = link_index;
@@ -426,13 +419,8 @@ void Fabric::UploadHandlers(const std::vector<HandlerTable>& tables) {
 std::uint64_t Fabric::TotalLinkPackets() const {
   std::uint64_t total = 0;
   for (const LinkRec& rec : link_recs_) {
-    if (rec.plain != nullptr) {
-      total += rec.plain->delivered();
-    } else if (rec.flow != nullptr) {
-      total += rec.flow->delivered();
-    } else {
-      total += rec.rlink->delivered();
-    }
+    total += rec.flow != nullptr ? rec.flow->delivered()
+                                 : rec.rlink->delivered();
   }
   return total;
 }
@@ -573,7 +561,7 @@ json::Value Fabric::FidelityJson() const {
   json::Array pinned;
   for (const LinkRec& rec : link_recs_) {
     if (rec.flow != nullptr) links.push_back(rec.flow);
-    if (rec.fault_pinned) {
+    if (rec.rlink != nullptr) {  // fault-pinned: see LinkRec
       pinned.push_back(std::string(fault::DirectedKey(
           rec.from.rank, rec.from.port, rec.to.rank, rec.to.port)));
     }

@@ -17,7 +17,7 @@
 ///
 /// When `FabricConfig::fault` carries an enabled `fault::FaultPlan`, every
 /// serial link is built as a `sim::ReliableLink` instead of the lossless
-/// `sim::Link`: per-frame sequence numbers + checksums, go-back-N
+/// `sim::FlowLink`: per-frame sequence numbers + checksums, go-back-N
 /// retransmission, and — for plans with a finite retry budget — permanent
 /// death detection. A death is reported through `sim::LinkDeathSink` into a
 /// deterministic engine global event that fires `failover_delay` cycles
@@ -41,7 +41,6 @@
 #include "net/topology.h"
 #include "sim/engine.h"
 #include "sim/flow_link.h"
-#include "sim/link.h"
 #include "sim/link_fault.h"
 #include "sim/reliable_link.h"
 #include "transport/ckr.h"
@@ -168,18 +167,15 @@ class Fabric final : public sim::LinkDeathSink {
     std::size_t rev_link = 0;  ///< b -> a directed link index
     bool alive = true;
   };
-  /// One directed link (index shared by links_/rlinks_ reporting).
+  /// One directed link: exactly one of `rlink` and `flow` is set. Under a
+  /// non-cycle fidelity policy `rlink` marks a fault-pinned cable (injected
+  /// faults are always timed exactly).
   struct LinkRec {
     net::PortId from, to;
     std::size_t cable = 0;
     PacketFifo* tx = nullptr;  ///< CKS-side net FIFO feeding the link
-    sim::Link<net::Packet>* plain = nullptr;        ///< lossless build
     sim::ReliableLink<net::Packet>* rlink = nullptr;  ///< fault-plan build
-    sim::FlowLink<net::Packet>* flow = nullptr;     ///< hybrid-fidelity build
-    /// Under a fault plan + non-cycle fidelity: true when this link kept the
-    /// cycle-accurate reliable build because its cable has an active fault
-    /// spec (injected faults are always timed exactly).
-    bool fault_pinned = false;
+    sim::FlowLink<net::Packet>* flow = nullptr;       ///< lossless build
   };
   struct FailoverRecord {
     std::string cable;

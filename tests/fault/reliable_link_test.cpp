@@ -4,7 +4,7 @@
 /// exponential backoff, the send window as the flow-control bound, and
 /// permanent death after the retry budget plus payload recovery for
 /// failover. Manually-clocked tests pin cycle-exact behaviour the same way
-/// link_test.cpp does for the lossless link.
+/// flow_link_test.cpp does for the lossless link.
 
 #include "sim/reliable_link.h"
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/recorder.h"
 
 namespace smi::transport {
 namespace {
@@ -439,6 +440,57 @@ TEST(Fabric, SparseWiringSkipsUncabledPorts) {
   engine.Run();
   ASSERT_EQ(sink.size(), 20u);
   for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(sink[i], i);
+}
+
+/// Runs a 4-rank bus stream with counters on and reports, per fidelity
+/// mode, the engine's flow-link registry size, the fabric's fidelity report
+/// and how many counter rows carry a "fidelity" key.
+struct FidelityTrace {
+  std::size_t flow_links = 0;
+  json::Value report;
+  std::size_t link_rows = 0;
+  std::size_t fidelity_rows = 0;
+};
+
+FidelityTrace RunBusStream(sim::FidelityMode mode) {
+  sim::EngineConfig config;
+  config.collect_counters = true;
+  config.fidelity.mode = mode;
+  Engine engine(config);
+  const Topology topo = Topology::Bus(4);
+  Fabric fabric = MakeSimpleFabric(engine, topo, 0);
+  std::vector<std::uint32_t> sink;
+  engine.AddKernel(SendPackets(fabric.SendEndpoint(0, 0), 0, 3, 0, 50), "s");
+  engine.AddKernel(RecvPackets(fabric.RecvEndpoint(3, 0), 50, sink), "r");
+  engine.Run();
+  EXPECT_EQ(sink.size(), 50u);
+  FidelityTrace trace;
+  trace.flow_links = engine.flow_links().size();
+  trace.report = fabric.FidelityJson();
+  const json::Value counters = engine.recorder()->CountersJson();
+  for (const json::Value& row : counters.at("links").as_array()) {
+    ++trace.link_rows;
+    if (row.contains("fidelity")) ++trace.fidelity_rows;
+  }
+  return trace;
+}
+
+TEST(Fabric, CycleFidelityLeavesNoFidelityTrace) {
+  // Every clean cable is a FlowLink; under the default kCycle policy it must
+  // stay invisible to the fidelity machinery so counter documents keep the
+  // shape of a purely cycle-accurate fabric.
+  const FidelityTrace cycle = RunBusStream(sim::FidelityMode::kCycle);
+  EXPECT_EQ(cycle.flow_links, 0u);
+  EXPECT_TRUE(cycle.report.is_null());
+  EXPECT_EQ(cycle.link_rows, 6u);  // 3 cables, 2 directed links each
+  EXPECT_EQ(cycle.fidelity_rows, 0u);
+
+  // The same fabric under kAuto shows every trace, so the checks above are
+  // not vacuous.
+  const FidelityTrace hybrid = RunBusStream(sim::FidelityMode::kAuto);
+  EXPECT_EQ(hybrid.flow_links, 6u);
+  EXPECT_TRUE(hybrid.report.is_object());
+  EXPECT_EQ(hybrid.fidelity_rows, 6u);
 }
 
 }  // namespace
