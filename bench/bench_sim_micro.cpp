@@ -7,7 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_common.h"
+#include "experiments.h"
 #include "net/routing.h"
 
 namespace {
@@ -47,8 +47,8 @@ void BM_EngineCyclesPerSecond(benchmark::State& state) {
   const net::Topology topo = net::Topology::Bus(2);
   std::uint64_t total_cycles = 0;
   for (auto _ : state) {
-    const core::RunResult r = bench::StreamOnce(
-        topo, 0, 1, 64 * 1024, core::ClusterConfig{});
+    const core::RunResult r =
+        bench::Stream(topo, {{0, 1}}, bench::PacketsFor(64 * 1024), {}).run;
     total_cycles += r.cycles;
     benchmark::DoNotOptimize(r.cycles);
   }
@@ -192,9 +192,10 @@ int main(int argc, char** argv) {
     core::ClusterConfig config;
     config.engine.collect_counters = !counters_path.empty();
     config.engine.collect_trace = !trace_path.empty();
-    core::RunTelemetry obs;
-    (void)bench::StreamOnce(net::Topology::Bus(2), 0, 1, 64 * 1024, config,
-                            &obs);
+    const core::RunTelemetry obs =
+        bench::Stream(net::Topology::Bus(2), {{0, 1}},
+                      bench::PacketsFor(64 * 1024), config)
+            .telemetry;
     if (!counters_path.empty()) {
       if (counters_path == "auto") counters_path = "COUNTERS_sim_micro.json";
       json::WriteFile(counters_path, obs.counters);

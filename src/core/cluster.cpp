@@ -13,7 +13,7 @@ namespace {
 /// CK forwarding overhead per hop on top of the serial link latency (CKR
 /// step, crossbar FIFO, CKS step), added to FabricConfig::link_latency for
 /// the innet pacing computation. Calibrated against the measured merge rate
-/// of bench_innet; an error of e cycles misaligns streams by at most
+/// of `experiments innet`; an error of e cycles misaligns streams by at most
 /// 2 * max_dist * e, which the combine hold window absorbs.
 constexpr sim::Cycle kInnetHopOverhead = 13;
 
@@ -60,15 +60,9 @@ void Cluster::Build(const net::Topology& topology,
     endpoints[static_cast<std::size_t>(r)].send_ports = spec.SendPorts();
     endpoints[static_cast<std::size_t>(r)].recv_ports = spec.RecvPorts();
   }
-  // Switch-rank topologies wire only a fraction of their declared ports per
-  // rank; building them densely would add dead CK pairs and crossbars (and
-  // switch P^2 cost). Sparse wiring changes arbiter input counts and hence
-  // cycle timing, so it is enabled only where no dense baseline exists.
-  transport::FabricConfig fabric_config = config.fabric;
-  if (topology.has_switches()) fabric_config.sparse_wiring = true;
   fabric_ = std::make_unique<transport::Fabric>(*engine_, topology,
                                                 std::move(endpoints),
-                                                fabric_config);
+                                                config.fabric);
 
   topology_ = topology;  // kept for innet funnel analysis (see below)
   routes_ = net::ComputeRoutes(topology, config.routing, config.routing_seed,
@@ -146,7 +140,7 @@ void Cluster::Build(const net::Topology& topology,
   }
   engine_->SetPartitionTag(sim::Engine::kUntaggedPartition);
   innet_hold_cycles_ = config.innet_hold_cycles;
-  innet_hop_latency_ = fabric_config.link_latency + kInnetHopOverhead;
+  innet_hop_latency_ = config.fabric.link_latency + kInnetHopOverhead;
   if (!innet_ports_.empty()) UploadInnetHandlers();
 }
 

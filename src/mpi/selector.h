@@ -45,10 +45,11 @@ class Selector {
   explicit Selector(std::vector<SelectorRule> rules)
       : rules_(std::move(rules)) {}
 
-  /// Default table, tuned from bench_collective_tree sweeps on the torus
-  /// topologies: tiny communicators never amortize the tree's extra hop
-  /// latency; mid-size ones do from ~4 KiB per rank; at 8+ ranks the root
-  /// serialization of the linear scheme loses from a few hundred bytes up.
+  /// Default table, tuned from `experiments collective_tree` sweeps on the
+  /// torus topologies: tiny communicators never amortize the tree's extra
+  /// hop latency; mid-size ones do from ~4 KiB per rank; at 8+ ranks the
+  /// root serialization of the linear scheme loses from a few hundred bytes
+  /// up.
   static Selector Defaults();
 
   /// Pick the algorithm for one collective call. `bytes` is the per-rank

@@ -20,7 +20,7 @@
 ///
 /// The analytic model is *calibrated*, not assumed: the constants in
 /// `FidelityCalibration` are fit offline against cycle-accurate
-/// `bench_latency`/`bench_bandwidth` runs and checked into
+/// `experiments latency` and `experiments bandwidth` runs and checked into
 /// `data/fidelity_calibration.json`. For this fabric the steady-state model
 /// is structurally exact (one payload per cycle, fixed pipeline latency), so
 /// the shipped constants are the identity — but the calibration path keeps

@@ -267,12 +267,15 @@ class FlowLink final : public Component,
   };
 
   /// Cycle-accurate step (deliver, then accept) plus the steady-state
-  /// detector feeding the promotion decision.
+  /// detector feeding the promotion decision. A link that can never
+  /// promote skips the detector, and one outside the fidelity machinery
+  /// (kCycle) keeps no counters.
   void CycleStep(Cycle now) {
-    if (!forced_cycle_) ++counters_.stepped_cycles;
+    if (policy_.enabled() && !forced_cycle_) ++counters_.stepped_cycles;
     const bool blocked = !Deliver(now) && HeadMatured(now);  // congestion
     const bool accept = Admit(now, flight_count_);
     if (accept) FlightPush(tx_->Pop(now), now + latency_);
+    if (!flow_capable_) return;
     if (blocked || !accept) {
       // A credit stall, a blocked delivery or an idle TX cycle all reset
       // the steady-state evidence: only a stream that accepts on
@@ -283,7 +286,7 @@ class FlowLink final : public Component,
       return;
     }
     ++steady_accepts_;
-    if (!flow_capable_ || forced_cycle_) return;
+    if (forced_cycle_) return;
     // Fast path: a committed TX backlog of a full interval while accepting
     // every cycle proves saturation outright — a trickle can never bank
     // that much — and guarantees the first modeled wake has a whole

@@ -20,12 +20,13 @@ std::string FifoName(const std::string& kind, int rank, int a, int b = -1) {
 Fabric::Fabric(sim::Engine& engine, const net::Topology& topology,
                std::vector<RankEndpoints> endpoints, FabricConfig config)
     : Fabric(engine, topology.num_ranks(), topology.ports_per_rank(),
-             topology.Connections(), std::move(endpoints), config) {}
+             topology.Connections(), std::move(endpoints), config,
+             topology.has_switches()) {}
 
 Fabric::Fabric(
     sim::Engine& engine, int num_ranks, int ports_per_rank,
     const std::vector<std::pair<net::PortId, net::PortId>>& connections,
-    std::vector<RankEndpoints> endpoints, FabricConfig config)
+    std::vector<RankEndpoints> endpoints, FabricConfig config, bool sparse)
     : engine_(&engine),
       num_ranks_(num_ranks),
       ports_per_rank_(ports_per_rank),
@@ -67,8 +68,8 @@ Fabric::Fabric(
   const std::size_t P = static_cast<std::size_t>(ports_per_rank_);
   std::vector<std::vector<bool>> active(
       static_cast<std::size_t>(num_ranks_),
-      std::vector<bool>(P, !config_.sparse_wiring));
-  if (config_.sparse_wiring) {
+      std::vector<bool>(P, !sparse));
+  if (sparse) {
     for (const auto& [a, b] : connections) {
       for (const net::PortId pid : {a, b}) {
         if (pid.rank >= 0 && pid.rank < num_ranks_ && pid.port >= 0 &&

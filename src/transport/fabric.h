@@ -64,17 +64,6 @@ struct FabricConfig {
   /// Fault plan. When `fault.enabled`, links are built as reliable links and
   /// the plan's per-link specs drive the injected faults (see file comment).
   fault::FaultPlan fault;
-  /// Sparse wiring: build CKS/CKR pairs and crossbar FIFOs only for *active*
-  /// ports — ports that are cabled, or that serve an application endpoint
-  /// (port p maps to CK p mod P). Scale-out topologies declare many ports
-  /// per rank (a fat-tree leaf wires hosts+spines ports, a dragonfly router
-  /// hosts+local+global) but each individual rank wires only a few, and
-  /// hosts wire exactly one; dense building would create P^2 crossbar FIFOs
-  /// per rank and — because a polling arbiter examines one input per cycle —
-  /// change cycle timing. Sparse wiring is therefore opt-in (the Cluster
-  /// enables it automatically for switch-rank topologies) and existing
-  /// dense fabrics keep their exact cycle behaviour.
-  bool sparse_wiring = false;
 };
 
 /// Which application endpoints exist on a rank. In the paper this is the
@@ -91,6 +80,17 @@ class Fabric final : public sim::LinkDeathSink {
   /// Build the transport fabric into `engine`. `endpoints[r]` lists the
   /// application endpoints of rank r (use a single-element vector replicated
   /// by the caller for SPMD programs).
+  ///
+  /// A topology with switch ranks is wired *sparsely*: CKS/CKR pairs and
+  /// crossbar FIFOs exist only for active ports — ports that are cabled, or
+  /// that serve an application endpoint (port p maps to CK p mod P); the
+  /// other ports are holes whose accessors throw. Scale-out topologies
+  /// declare many ports per rank (a fat-tree leaf wires hosts+spines ports,
+  /// a dragonfly router hosts+local+global) but each rank wires only a few,
+  /// and hosts exactly one; dense building would create P^2 crossbar FIFOs
+  /// per rank and — because a polling arbiter examines one input per cycle —
+  /// change cycle timing. Switchless fabrics, which have dense baselines,
+  /// stay dense and keep their exact cycle behaviour.
   Fabric(sim::Engine& engine, const net::Topology& topology,
          std::vector<RankEndpoints> endpoints, FabricConfig config = {});
 
@@ -98,10 +98,12 @@ class Fabric final : public sim::LinkDeathSink {
   /// point for machine-generated cabling (e.g. deployment JSON). Every
   /// connection is validated: rank and port indices must be in range, a
   /// cable cannot join two ports of the same rank, and no (rank, port)
-  /// network interface may be wired twice.
+  /// network interface may be wired twice. The fabric is wired densely.
   Fabric(sim::Engine& engine, int num_ranks, int ports_per_rank,
          const std::vector<std::pair<net::PortId, net::PortId>>& connections,
-         std::vector<RankEndpoints> endpoints, FabricConfig config = {});
+         std::vector<RankEndpoints> endpoints, FabricConfig config = {})
+      : Fabric(engine, num_ranks, ports_per_rank, connections,
+               std::move(endpoints), config, /*sparse=*/false) {}
 
   /// FIFO an application pushes packets into to send on (rank, port).
   PacketFifo& SendEndpoint(int rank, int port);
@@ -153,6 +155,12 @@ class Fabric final : public sim::LinkDeathSink {
   void OnLinkDead(std::size_t link_id, sim::Cycle now) override;
 
  private:
+  /// Shared by both public constructors; `sparse` selects sparse wiring.
+  Fabric(sim::Engine& engine, int num_ranks, int ports_per_rank,
+         const std::vector<std::pair<net::PortId, net::PortId>>& connections,
+         std::vector<RankEndpoints> endpoints, FabricConfig config,
+         bool sparse);
+
   struct Rank {
     /// Indexed by port; nullptr holes on inactive ports of a sparse build.
     std::vector<Cks*> cks;

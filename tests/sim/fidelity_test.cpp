@@ -247,6 +247,8 @@ Kernel Consume(Fifo<int>& in, int n, std::vector<int>& sink) {
 struct ChainResult {
   Cycle cycles = 0;
   std::vector<int> sink;
+  std::size_t registered = 0;  ///< links in engine.flow_links()
+  bool any_in_flow_mode = false;
   std::uint64_t promotions = 0;
   std::uint64_t demotions_drain = 0;
   std::uint64_t thrash_warnings = 0;
@@ -263,16 +265,21 @@ ChainResult RunChain(FidelityMode mode, int hops, int payloads,
   for (int i = 0; i <= hops; ++i) {
     fifos.push_back(&engine.MakeFifo<int>("f" + std::to_string(i), 64));
   }
+  // Counters are read from the links themselves, not from
+  // engine.flow_links(): a kCycle link never registers there.
+  std::vector<const FlowLink<int>*> links;
   for (int i = 0; i < hops; ++i) {
-    engine.MakeComponent<FlowLink<int>>(
+    links.push_back(&engine.MakeComponent<FlowLink<int>>(
         engine, "link" + std::to_string(i), *fifos[static_cast<std::size_t>(i)],
-        *fifos[static_cast<std::size_t>(i) + 1], 8, config.fidelity);
+        *fifos[static_cast<std::size_t>(i) + 1], 8, config.fidelity));
   }
   ChainResult r;
   engine.AddKernel(Produce(*fifos.front(), payloads), "p");
   engine.AddKernel(Consume(*fifos.back(), payloads, r.sink), "c");
   r.cycles = engine.Run().cycles;
-  for (const FlowLinkControl* link : engine.flow_links()) {
+  r.registered = engine.flow_links().size();
+  for (const FlowLink<int>* link : links) {
+    r.any_in_flow_mode = r.any_in_flow_mode || link->in_flow_mode();
     const obs::FidelityCounters& c = link->fidelity_counters();
     r.promotions += c.promotions;
     r.demotions_drain += c.demotions_drain;
@@ -285,6 +292,8 @@ ChainResult RunChain(FidelityMode mode, int hops, int payloads,
 TEST(FlowLinkStateMachine, CycleModeNeverPromotes) {
   FidelityPolicy policy;
   const ChainResult r = RunChain(FidelityMode::kCycle, 3, 5000, policy);
+  EXPECT_EQ(r.registered, 0u);
+  EXPECT_FALSE(r.any_in_flow_mode);
   EXPECT_EQ(r.promotions, 0u);
   EXPECT_EQ(r.modeled_cycles, 0u);
   ASSERT_EQ(r.sink.size(), 5000u);

@@ -416,12 +416,12 @@ TEST(Fabric, RejectsRanksBeyondWideLimitAndFaultyWideFabrics) {
 
 TEST(Fabric, SparseWiringSkipsUncabledPorts) {
   // A fat-tree wires only a fraction of each rank's uniform port count;
-  // under sparse wiring the unwired ports carry no CKS/CKR and their
-  // accessors say so, while cabled traffic still flows end to end.
+  // its switch ranks make the fabric wire sparsely, so the unwired ports
+  // carry no CKS/CKR and their accessors say so, while cabled traffic still
+  // flows end to end.
   Engine engine;
   const Topology topo = Topology::FatTree(2, 2, 2);
   FabricConfig config;
-  config.sparse_wiring = true;
   RankEndpoints eps;
   eps.send_ports.push_back(0);
   eps.recv_ports.push_back(0);
