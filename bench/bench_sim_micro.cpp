@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "experiments.h"
 #include "net/routing.h"
 
@@ -99,16 +102,21 @@ void BM_IdleHeavyStencil(benchmark::State& state) {
       config.engine.threads = 0;  // hardware concurrency, capped at 8 ranks
     }
     core::Cluster cluster(topo, bench::P2pSpec(), config);
-    std::uint64_t sink = 0;
+    // One sink per rank: under kParallel the ranks' kernels run on
+    // different worker threads.
+    std::vector<std::uint64_t> sinks(
+        static_cast<std::size_t>(topo.num_ranks()));
     for (int r = 0; r < topo.num_ranks(); ++r) {
-      cluster.AddKernel(r,
-                        IdleStencilRank(cluster.context(r), /*steps=*/20,
-                                        /*compute_cycles=*/1500, sink),
-                        "stencil");
+      cluster.AddKernel(
+          r,
+          IdleStencilRank(cluster.context(r), /*steps=*/20,
+                          /*compute_cycles=*/1500,
+                          sinks[static_cast<std::size_t>(r)]),
+          "stencil");
     }
     const core::RunResult result = cluster.Run();
     total_cycles += result.cycles;
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sinks.data());
   }
   state.counters["sim_cycles_per_s"] = benchmark::Counter(
       static_cast<double>(total_cycles), benchmark::Counter::kIsRate);

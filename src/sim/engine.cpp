@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -20,6 +21,21 @@ namespace {
 /// are pure synchronization points); it bounds per-epoch log sizes and the
 /// overshoot past the completion cycle inside the final epoch.
 constexpr Cycle kMaxEpochCycles = 4096;
+
+void SetBit(std::vector<std::uint64_t>& bits, std::size_t index) {
+  bits[index >> 6] |= std::uint64_t{1} << (index & 63);
+}
+
+/// Move the set bits' indices, ascending, into `out` and clear the bitset.
+void TakeBits(std::vector<std::uint64_t>& bits, std::vector<std::size_t>& out) {
+  out.clear();
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      out.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+    bits[w] = 0;
+  }
+}
 
 /// Adapter exposing a split CutLink's sender half as a component of the
 /// sending partition. Credits only arrive at epoch barriers (where the
@@ -100,9 +116,10 @@ void Engine::AddKernel(Kernel kernel, std::string name, bool daemon) {
   }
   kernel.promise().now = now_ptr();
   kernel_tags_.push_back(current_tag_);
-  kernels_.push_back(KernelSlot{.kernel = std::move(kernel),
-                                .name = std::move(name),
-                                .daemon = daemon});
+  KernelSlot& slot = kernels_.emplace_back();
+  slot.kernel = std::move(kernel);
+  slot.name = std::move(name);
+  slot.daemon = daemon;
 }
 
 void Engine::CheckKernelException(KernelSlot& slot) {
@@ -220,6 +237,7 @@ void Engine::RunGlobalEventsAt(Cycle now) {
 
 void Engine::AdvanceClock(Partition& p, Cycle target) {
   *p.clock = target;
+  p.soon = target;
   for (Cycle* mirror : p.mirrors) *mirror = target;
 }
 
@@ -268,29 +286,41 @@ bool Engine::StepCycleSync() {
   return progress;
 }
 
+// A wake earlier than `p.soon` is raised to it: the partition's next step,
+// at `p.soon`, is the first one that can serve it.
 void Engine::ScheduleComponent(Partition& p, std::size_t index, Cycle cycle) {
   if (cycle == kNeverCycle) return;
+  cycle = std::max(cycle, p.soon);
   ComponentRec& rec = comp_recs_[index];
-  if (cycle < rec.next_wake) {
-    rec.next_wake = cycle;
+  if (cycle >= rec.next_wake) return;
+  rec.next_wake = cycle;
+  if (cycle == p.soon) {
+    SetBit(p.comp_soon, index);
+    p.soon_pending = true;
+  } else {
     p.comp_heap.emplace(cycle, index);
   }
 }
 
 void Engine::ScheduleKernel(Partition& p, std::size_t index, Cycle cycle) {
   if (cycle == kNeverCycle) return;
+  cycle = std::max(cycle, p.soon);
   KernelSlot& slot = kernels_[index];
-  if (cycle < slot.next_poll) {
-    slot.next_poll = cycle;
+  if (cycle >= slot.next_poll) return;
+  slot.next_poll = cycle;
+  if (cycle == p.soon) {
+    SetBit(p.kernel_soon, index);
+    p.soon_pending = true;
+  } else {
     p.kernel_heap.emplace(cycle, index);
   }
 }
 
-void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
-  KernelSlot& slot = kernels_[kernel_index];
+void Engine::CollectWatches(Partition& p, std::size_t kernel_index) {
+  const KernelSlot& slot = kernels_[kernel_index];
   p.watch_scratch.clear();
+  p.watch_ids.clear();
   slot.kernel.promise().blocker->WatchFifos(p.watch_scratch);
-  slot.watch_effective = false;
   for (const FifoBase* fifo : p.watch_scratch) {
     // FIFOs owned by a different engine (or none) cannot wake us through the
     // commit phase; the caller falls back to polling every cycle.
@@ -301,9 +331,15 @@ void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
                         " owned by another partition; only cut links may "
                         "cross partitions");
     }
-    fifo_recs_[fifo->sched_index()].kernel_watchers.push_back(kernel_index);
-    slot.watching.push_back(fifo->sched_index());
-    slot.watch_effective = true;
+    p.watch_ids.push_back(fifo->sched_index());
+  }
+}
+
+void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
+  KernelSlot& slot = kernels_[kernel_index];
+  for (const std::size_t fifo_index : p.watch_ids) {
+    fifo_recs_[fifo_index].kernel_watchers.push_back(kernel_index);
+    slot.watching.push_back(fifo_index);
   }
 }
 
@@ -315,7 +351,6 @@ void Engine::UnregisterWatch(std::size_t kernel_index) {
                    watchers.end());
   }
   slot.watching.clear();
-  slot.watch_effective = false;
 }
 
 void Engine::ParkKernel(Partition& p, std::size_t kernel_index) {
@@ -325,18 +360,29 @@ void Engine::ParkKernel(Partition& p, std::size_t kernel_index) {
   if (promise.blocker == nullptr) {
     // Suspended without a blocker (should not happen with the provided
     // awaitables); poll again next cycle — always correct.
+    UnregisterWatch(kernel_index);
     ScheduleKernel(p, kernel_index, now + 1);
     return;
   }
-  RegisterWatch(p, kernel_index);
+  // Watches are sticky: a kernel that parks on the same FIFOs again (the
+  // common case, one element per resume) keeps its watcher entries.
+  CollectWatches(p, kernel_index);
+  if (p.watch_ids != slot.watching) {
+    UnregisterWatch(kernel_index);
+    RegisterWatch(p, kernel_index);
+  }
   Cycle next = promise.blocker->NextPollCycle(now);
-  if (!slot.watch_effective && next == kNeverCycle) next = now + 1;
+  if (slot.watching.empty() && next == kNeverCycle) next = now + 1;
   ScheduleKernel(p, kernel_index, next);
 }
 
 void Engine::PreparePartition(Partition& p) {
   p.comp_heap = WakeHeap();
   p.kernel_heap = WakeHeap();
+  p.soon = *p.clock;
+  p.soon_pending = false;
+  p.comp_soon.assign((comp_recs_.size() + 63) / 64, 0);
+  p.kernel_soon.assign((kernels_.size() + 63) / 64, 0);
   p.due_components.clear();
   p.due_kernels.clear();
   p.resume_log.clear();
@@ -366,10 +412,12 @@ void Engine::PreparePartition(Partition& p) {
     KernelSlot& slot = kernels_[i];
     slot.next_poll = kNeverCycle;
     slot.watching.clear();
-    slot.watch_effective = false;
     if (!slot.done && !slot.daemon) ++p.app_pending;
     if (slot.done) continue;
-    if (slot.kernel.promise().blocker != nullptr) RegisterWatch(p, i);
+    if (slot.kernel.promise().blocker != nullptr) {
+      CollectWatches(p, i);
+      RegisterWatch(p, i);
+    }
     // Scheduling everything for an immediate poll/step is always safe; the
     // wake machinery thins the schedule out from the second cycle on.
     ScheduleKernel(p, i, now);
@@ -405,28 +453,32 @@ bool Engine::StepCycleEvent(Partition& p) {
   const Cycle now = *p.clock;
   bool progress = false;
 
-  // Collect the entities due this cycle. Heap entries are lazily invalidated,
-  // so an entry only counts if it matches the entity's scheduled cycle.
-  // Indices are sorted so phases run in registration order, exactly like the
-  // synchronous scheduler.
-  p.due_kernels.clear();
+  // Collect the entities due this cycle (`now == p.soon`). Far wakes that
+  // have come due join the bitsets first; heap entries are lazily
+  // invalidated, so an entry only counts if it matches the entity's
+  // scheduled cycle. Walking the bits yields ascending entity ids, so phases
+  // run in registration order, exactly like the synchronous scheduler.
   while (!p.kernel_heap.empty() && p.kernel_heap.top().first <= now) {
     const auto [cycle, index] = p.kernel_heap.top();
     p.kernel_heap.pop();
-    if (kernels_[index].next_poll != cycle) continue;
-    kernels_[index].next_poll = kNeverCycle;
-    p.due_kernels.push_back(index);
+    if (kernels_[index].next_poll == cycle) SetBit(p.kernel_soon, index);
   }
-  std::sort(p.due_kernels.begin(), p.due_kernels.end());
-  p.due_components.clear();
   while (!p.comp_heap.empty() && p.comp_heap.top().first <= now) {
     const auto [cycle, index] = p.comp_heap.top();
     p.comp_heap.pop();
-    if (comp_recs_[index].next_wake != cycle) continue;
-    comp_recs_[index].next_wake = kNeverCycle;
-    p.due_components.push_back(index);
+    if (comp_recs_[index].next_wake == cycle) SetBit(p.comp_soon, index);
   }
-  std::sort(p.due_components.begin(), p.due_components.end());
+  TakeBits(p.kernel_soon, p.due_kernels);
+  TakeBits(p.comp_soon, p.due_components);
+  for (const std::size_t index : p.due_kernels) {
+    kernels_[index].next_poll = kNeverCycle;
+  }
+  for (const std::size_t index : p.due_components) {
+    comp_recs_[index].next_wake = kNeverCycle;
+  }
+  // From here on, wakes for the next cycle go to the (now empty) bitsets.
+  p.soon = now + 1;
+  p.soon_pending = false;
 
   // Phase 1: poll due kernels; resume the ones whose operation succeeds.
   for (const std::size_t index : p.due_kernels) {
@@ -437,12 +489,13 @@ bool Engine::StepCycleEvent(Partition& p) {
       if (!promise.blocker->TryComplete(now)) {
         // Still blocked: re-arm the timed poll; FIFO watches stay in place.
         Cycle next = promise.blocker->NextPollCycle(now);
-        if (!slot.watch_effective && next == kNeverCycle) next = now + 1;
+        if (slot.watching.empty() && next == kNeverCycle) next = now + 1;
         ScheduleKernel(p, index, next);
         continue;
       }
+      // The watches stay registered until the kernel parks again
+      // (ParkKernel) or finishes.
       promise.blocker = nullptr;
-      UnregisterWatch(index);
     }
     ++p.resumes;
     if (p.log_resumes) AppendResumeLog(p, now);
@@ -451,6 +504,7 @@ bool Engine::StepCycleEvent(Partition& p) {
     slot.kernel.Resume();
     CheckKernelException(slot);
     if (slot.done) {
+      UnregisterWatch(index);
       if (slot.probe != nullptr) slot.probe->OnDone(now);
       if (!slot.daemon && p.app_pending > 0 && --p.app_pending == 0) {
         p.app_done_p1 = now + 1;
@@ -496,6 +550,8 @@ bool Engine::StepCycleEvent(Partition& p) {
 }
 
 Cycle Engine::NextEventCycle(Partition& p) {
+  // Every heap entry is at or after `soon`, so a pending bit wins outright.
+  if (p.soon_pending) return p.soon;
   while (!p.comp_heap.empty() &&
          comp_recs_[p.comp_heap.top().second].next_wake !=
              p.comp_heap.top().first) {
@@ -806,6 +862,9 @@ void Engine::CleanupParallelRun() {
   // partitions.
   for (Partition& p : partitions_) whole_.resumes += p.resumes;
   partitions_.clear();
+  // Until the next Run/RunFor prepares a schedule, WakeComponentAt is a
+  // no-op (`whole_`'s bitsets may not cover every component).
+  comp_recs_.clear();
   for (FlowLinkControl* link : flow_links_) link->SetForcedCycle(false);
   parallel_active_ = false;
 }

@@ -39,6 +39,24 @@
 ///     - when no entity is due, the engine jumps `now` directly to the next
 ///       scheduled event, charging the skipped cycles to the idle watchdog
 ///       and max-cycles accounting exactly as if they had been stepped.
+///
+///   Wakes go into a two-level queue (the near/far split of a calendar
+///   queue). On a streaming fabric nearly every entity is due again at the
+///   next cycle, so a wake for `soon` — the next cycle the partition steps —
+///   only sets the entity's bit in a dense bitset over component (or kernel)
+///   ids. Later wakes go to a lazily invalidated min-heap, whose entries join
+///   the bitsets when their cycle comes due. Walking the bits yields the due
+///   entities in ascending id, i.e. registration order, which is exactly the
+///   order the synchronous scheduler visits them in, so no sort is needed.
+///   A non-empty bitset counts as an event at `soon` for the idle jump.
+///
+///   Kernel watches are sticky: a kernel that resumes keeps its FIFO watcher
+///   entries, and they are replaced only when it parks on a blocker watching
+///   a different list of FIFOs, or dropped when it finishes. The kernel
+///   re-parks inside its own resume, before any commit, so every commit
+///   still sees the current blocker's watch set. A watch outliving its
+///   blocker could at worst cause an extra poll, which is harmless: the
+///   synchronous scheduler polls every parked kernel every cycle.
 /// * `SchedulerKind::kParallel` — a conservative-lookahead parallel
 ///   discrete-event scheduler (Chandy–Misra–Bryant style). Entities are
 ///   grouped into *partitions* by the tag active at registration time
@@ -303,7 +321,6 @@ class Engine {
     // Event-driven scheduling state.
     Cycle next_poll = kNeverCycle;  ///< scheduled poll cycle (kNever = none)
     std::vector<std::size_t> watching;  ///< FIFO indices with a watch entry
-    bool watch_effective = false;  ///< at least one watched FIFO is ours
     obs::KernelProbe* probe = nullptr;  ///< telemetry block (null = off)
   };
   struct ComponentRec {
@@ -347,13 +364,21 @@ class Engine {
     std::vector<std::size_t> kernels;
     std::vector<std::size_t> fifo_ids;
 
-    // Event machinery.
+    // Event machinery: a two-level wake queue. A wake for `soon`, the next
+    // cycle this partition steps, sets the entity's bit in a dense bitset
+    // indexed by entity id; a later wake goes to the heap and joins the
+    // bitset when its cycle comes due. Sized in PreparePartition.
     std::vector<FifoBase*> dirty;
+    Cycle soon = 0;
+    bool soon_pending = false;  ///< some bit is set in a `*_soon` bitset
+    std::vector<std::uint64_t> comp_soon;
+    std::vector<std::uint64_t> kernel_soon;
     WakeHeap comp_heap;
     WakeHeap kernel_heap;
     std::vector<std::size_t> due_components;
     std::vector<std::size_t> due_kernels;
     std::vector<const FifoBase*> watch_scratch;
+    std::vector<std::size_t> watch_ids;  ///< CollectWatches output
 
     // Worker-side error capture.
     std::exception_ptr error;
@@ -387,12 +412,16 @@ class Engine {
   void PreparePartition(Partition& p);
   void ScheduleComponent(Partition& p, std::size_t index, Cycle cycle);
   void ScheduleKernel(Partition& p, std::size_t index, Cycle cycle);
+  /// Fill `p.watch_ids` with the FIFOs of this engine that the kernel's
+  /// blocker watches; throws ConfigError for a FIFO of another partition.
+  void CollectWatches(Partition& p, std::size_t kernel_index);
+  /// Register the kernel as a watcher of every FIFO in `p.watch_ids`.
   void RegisterWatch(Partition& p, std::size_t kernel_index);
   void UnregisterWatch(std::size_t kernel_index);
   void ParkKernel(Partition& p, std::size_t kernel_index);
   /// Earliest scheduled component/kernel cycle, or kNeverCycle if none.
   Cycle NextEventCycle(Partition& p);
-  /// Set `p`'s clock (master + mirrors) to `target`.
+  /// Set `p`'s clock (master + mirrors) and its `soon` cycle to `target`.
   void AdvanceClock(Partition& p, Cycle target);
   /// Advance `whole_`'s clock to `target`, charging the skipped cycles to
   /// watchdog/max-cycles accounting when `accounted`.

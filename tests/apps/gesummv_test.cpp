@@ -52,7 +52,7 @@ TEST(Gesummv, DistributedMatchesReference) {
 }
 
 TEST(Gesummv, RectangularMatrices) {
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair<std::size_t, std::size_t>{16, 128},
         std::pair<std::size_t, std::size_t>{100, 32}}) {
     const GesummvConfig config = SmallConfig(rows, cols);

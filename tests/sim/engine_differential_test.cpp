@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/gesummv.h"
@@ -473,6 +475,303 @@ TEST(EngineDifferential, StencilTelemetryIsBitIdentical) {
     return TelemetryDocs{result.telemetry.counters.dump(),
                          result.telemetry.trace.dump()};
   });
+}
+
+// ---------------------------------------------------------------------------
+// Wake-queue edges of the event-driven engine: a watch set that changes on
+// every park, a component wake from a global event on an idle-jump target,
+// far timed wakes overtaken by FIFO activity, and one-cycle RunFor steps.
+// Each raw-engine scenario is built once per partition tag 0..3, so under
+// kParallel with two or more threads several partitions run their own wake
+// queues side by side.
+
+constexpr int kRawTags = 4;
+
+struct RawObservation {
+  RunStats stats;
+  std::vector<std::vector<std::int64_t>> sinks;
+};
+
+/// Builds `build(engine, tag, sink)` for every tag and runs the engine.
+/// With `one_cycle_steps` the engine is first driven by RunFor(1) until
+/// every kernel is done, and the closing Run only reports the statistics.
+template <typename Build>
+RawObservation RunRaw(SchedulerKind kind, unsigned threads, Build& build,
+                      bool one_cycle_steps = false) {
+  EngineConfig config;
+  config.scheduler = kind;
+  config.threads = threads;
+  Engine engine(config);
+  RawObservation obs;
+  obs.sinks.resize(kRawTags);
+  for (int tag = 0; tag < kRawTags; ++tag) {
+    sim::PartitionTagScope scope(engine, tag);
+    build(engine, tag, obs.sinks[static_cast<std::size_t>(tag)]);
+  }
+  if (one_cycle_steps) {
+    while (!engine.RunFor(1)) {
+    }
+  }
+  obs.stats = engine.Run();
+  return obs;
+}
+
+void ExpectSameRun(const RawObservation& got, const RawObservation& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.stats.cycles, want.stats.cycles) << label;
+  EXPECT_EQ(got.stats.kernel_resumes, want.stats.kernel_resumes) << label;
+  EXPECT_EQ(got.stats.seconds, want.stats.seconds) << label;
+  EXPECT_EQ(got.sinks, want.sinks) << label;
+}
+
+/// Runs a raw-engine scenario under all three schedulers and checks RunStats
+/// and payloads against the synchronous reference; returns the reference.
+template <typename Build>
+RawObservation ExpectRawSchedulersIdentical(Build build) {
+  const RawObservation sync = RunRaw(SchedulerKind::kSynchronous, 1, build);
+  ExpectSameRun(RunRaw(SchedulerKind::kEventDriven, 1, build), sync,
+                "event");
+  for (const unsigned threads : kThreadCounts) {
+    const RawObservation par = RunRaw(SchedulerKind::kParallel, threads, build);
+    ExpectSameRun(par, sync, "threads=" + std::to_string(threads));
+    EXPECT_EQ(par.stats.partitions,
+              std::min(threads, static_cast<unsigned>(kRawTags)));
+  }
+  return sync;
+}
+
+Kernel PacedProducer(sim::Fifo<std::int64_t>& out, int n, Cycle period,
+                     std::int64_t base) {
+  for (int i = 0; i < n; ++i) {
+    co_await WaitCycles{period};
+    co_await fifo_push(out, base + i);
+  }
+}
+
+/// Pops alternately from `a` and `b`, so every park watches a different FIFO
+/// than the previous one.
+Kernel AlternatingConsumer(sim::Fifo<std::int64_t>& a,
+                           sim::Fifo<std::int64_t>& b, int n,
+                           std::vector<std::int64_t>& sink) {
+  for (int i = 0; i < n; ++i) {
+    sink.push_back(co_await fifo_pop(a));
+    sink.push_back(co_await fifo_pop(b));
+  }
+}
+
+TEST(EngineDifferential, AlternatingWatchSetIsCycleIdentical) {
+  const RawObservation sync = ExpectRawSchedulersIdentical(
+      [](Engine& engine, int tag, std::vector<std::int64_t>& sink) {
+        auto& a = engine.MakeFifo<std::int64_t>("a", 2);
+        auto& b = engine.MakeFifo<std::int64_t>("b", 2);
+        const int n = 40;
+        engine.AddKernel(PacedProducer(a, n, 1, 1000), "fast");
+        engine.AddKernel(
+            PacedProducer(b, n, 5 + static_cast<Cycle>(tag) * 4, 2000),
+            "slow");
+        engine.AddKernel(AlternatingConsumer(a, b, n, sink), "alternate");
+      });
+  // The slowest producer (period 17) paces the run.
+  EXPECT_GT(sync.stats.cycles, 40u * 17u);
+  EXPECT_EQ(sync.sinks[3].size(), 80u);
+}
+
+/// Pushes the cycle it steps at into `out` once per Arm(). It declares no
+/// self-wake while idle, so under the event-driven schedulers only
+/// Engine::WakeComponentAt (or a pop freeing space) can step it.
+class ArmedSource final : public sim::Component {
+ public:
+  ArmedSource(std::string name, sim::Fifo<std::int64_t>& out)
+      : Component(std::move(name)), out_(&out) {}
+  void Arm() { ++armed_; }
+  void Step(Cycle now) override {
+    if (armed_ == 0 || !out_->CanPush(now)) return;
+    out_->Push(static_cast<std::int64_t>(now), now);
+    --armed_;
+  }
+  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
+    out.push_back(out_);
+  }
+  Cycle NextSelfWake(Cycle now) const override {
+    return armed_ != 0 ? now + 1 : sim::kNeverCycle;
+  }
+
+ private:
+  sim::Fifo<std::int64_t>* out_;
+  int armed_ = 0;
+};
+
+/// Pops `n` values; after each one it sleeps until the next event cycle, so
+/// the engine idles between events and jumps straight to them.
+Kernel SleepyConsumer(sim::Fifo<std::int64_t>& in, int n, Cycle sleep,
+                      std::vector<std::int64_t>& sink) {
+  for (int i = 0; i < n; ++i) {
+    sink.push_back(co_await fifo_pop(in));
+    co_await WaitCycles{sleep};
+  }
+}
+
+TEST(EngineDifferential, GlobalEventWakeOnIdleJumpTargetIsCycleIdentical) {
+  const RawObservation sync = ExpectRawSchedulersIdentical(
+      [](Engine& engine, int tag, std::vector<std::int64_t>& sink) {
+        auto& fifo = engine.MakeFifo<std::int64_t>("armed", 2);
+        auto& source = engine.MakeComponent<ArmedSource>("source", fifo);
+        const int n = 5;
+        const Cycle period = 400 + static_cast<Cycle>(tag) * 37;
+        for (int k = 1; k <= n; ++k) {
+          // Nothing else is due at these cycles: the event-driven loop
+          // reaches each one by an idle jump whose target is the event.
+          const Cycle at = static_cast<Cycle>(k) * period;
+          engine.ScheduleGlobalEvent(
+              at, static_cast<std::uint64_t>(tag),
+              [&engine, &source](Cycle now) {
+                source.Arm();
+                engine.WakeComponentAt(source, now);
+              });
+        }
+        // The first event is reached by a jump to the event alone. Each
+        // sleep after a pop ends exactly at the next event's cycle, so the
+        // later events share their cycle with a kernel's timed wake.
+        engine.AddKernel(SleepyConsumer(fifo, n, period - 1, sink),
+                         "consumer");
+      });
+  // The source stepped exactly at the event cycles.
+  const std::vector<std::int64_t> want0 = {400, 800, 1200, 1600, 2000};
+  EXPECT_EQ(sync.sinks[0], want0);
+}
+
+/// Pops one value, or gives up `timeout` cycles after the wait began:
+/// a FIFO watch plus a far timed poll. Completion yields the value or -1,
+/// followed by the completion cycle.
+struct PopOrTimeout final : sim::detail::AwaitableBase<PopOrTimeout> {
+  PopOrTimeout(sim::Fifo<std::int64_t>& f, Cycle t) : fifo(&f), timeout(t) {}
+  bool TryComplete(Cycle now) override {
+    if (!armed) {
+      armed = true;
+      deadline = now + timeout;
+    }
+    if (fifo->CanPop(now)) {
+      value = fifo->Pop(now);
+    } else if (now < deadline) {
+      return false;
+    }
+    at = now;
+    return true;
+  }
+  std::string Describe() const override { return "pop or timeout"; }
+  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
+    out.push_back(fifo);
+  }
+  Cycle NextPollCycle(Cycle now) const override {
+    return deadline > now ? deadline : now + 1;
+  }
+  std::pair<std::int64_t, Cycle> await_resume() const noexcept {
+    return {value, at};
+  }
+
+  sim::Fifo<std::int64_t>* fifo;
+  Cycle timeout;
+  Cycle deadline = 0;
+  bool armed = false;
+  std::int64_t value = -1;
+  Cycle at = 0;
+};
+
+/// Waits until it has received `n` non-negative values, recording every
+/// completion (value or -1, then cycle) on the way.
+Kernel TimeoutConsumer(sim::Fifo<std::int64_t>& in, int n, Cycle timeout,
+                       std::vector<std::int64_t>& sink) {
+  for (int values = 0; values < n;) {
+    const auto [value, at] = co_await PopOrTimeout(in, timeout);
+    sink.push_back(value);
+    sink.push_back(static_cast<std::int64_t>(at));
+    if (value >= 0) ++values;
+  }
+}
+
+/// Forwards `in` to `out`; when nothing arrived for `period` cycles it
+/// forwards a -1 tick instead. Its far self-wake is usually overtaken by an
+/// arrival on `in`, which leaves a stale entry in the component wake heap.
+class TickingForwarder final : public sim::Component {
+ public:
+  TickingForwarder(std::string name, sim::Fifo<std::int64_t>& in,
+                   sim::Fifo<std::int64_t>& out, Cycle period)
+      : Component(std::move(name)), in_(&in), out_(&out), period_(period) {}
+  void Step(Cycle now) override {
+    if (!out_->CanPush(now)) return;
+    if (in_->CanPop(now)) {
+      out_->Push(in_->Pop(now), now);
+      last_ = now;
+    } else if (now >= last_ + period_) {
+      out_->Push(-1, now);
+      last_ = now;
+    }
+  }
+  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
+    out.push_back(in_);
+    out.push_back(out_);
+  }
+  Cycle NextSelfWake(Cycle now) const override {
+    return last_ + period_ > now ? last_ + period_ : now + 1;
+  }
+
+ private:
+  sim::Fifo<std::int64_t>* in_;
+  sim::Fifo<std::int64_t>* out_;
+  Cycle period_;
+  Cycle last_ = 0;
+};
+
+/// Pushes 0..n-1 after irregular gaps, some shorter than the consumer's
+/// timeout and the forwarder's tick period, some longer.
+Kernel IrregularProducer(sim::Fifo<std::int64_t>& out, int n, Cycle seed) {
+  for (int i = 0; i < n; ++i) {
+    co_await WaitCycles{(static_cast<Cycle>(i) * 7919 + seed) % 1300 + 1};
+    co_await fifo_push(out, std::int64_t{i});
+  }
+}
+
+TEST(EngineDifferential, OvertakenFarWakesAreCycleIdentical) {
+  const RawObservation sync = ExpectRawSchedulersIdentical(
+      [](Engine& engine, int tag, std::vector<std::int64_t>& sink) {
+        auto& raw = engine.MakeFifo<std::int64_t>("raw", 2);
+        auto& ticks = engine.MakeFifo<std::int64_t>("ticks", 2);
+        engine.MakeComponent<TickingForwarder>("forwarder", raw, ticks, 700);
+        const int n = 30;
+        engine.AddKernel(
+            IrregularProducer(raw, n, static_cast<Cycle>(tag) * 131),
+            "producer");
+        engine.AddKernel(TimeoutConsumer(ticks, n, 900, sink), "consumer");
+      });
+  // Both kinds of completion happen: values, and timeouts or ticks (-1).
+  const std::vector<std::int64_t>& sink = sync.sinks[0];
+  int values = 0;
+  int gaps = 0;
+  for (std::size_t i = 0; i < sink.size(); i += 2) {
+    (sink[i] >= 0 ? values : gaps) += 1;
+  }
+  EXPECT_EQ(values, 30);
+  EXPECT_GT(gaps, 8);
+}
+
+TEST(EngineDifferential, RunForOneCycleStepsMatchOneRun) {
+  auto build = [](Engine& engine, int tag, std::vector<std::int64_t>& sink) {
+    auto& a = engine.MakeFifo<std::int64_t>("a", 2);
+    auto& b = engine.MakeFifo<std::int64_t>("b", 2);
+    engine.AddKernel(PacedProducer(a, 12, 1, 0), "fast");
+    engine.AddKernel(
+        IrregularProducer(b, 12, static_cast<Cycle>(tag) * 61), "slow");
+    engine.AddKernel(AlternatingConsumer(a, b, 12, sink), "alternate");
+  };
+  const RawObservation whole = RunRaw(SchedulerKind::kSynchronous, 1, build);
+  ExpectSameRun(RunRaw(SchedulerKind::kSynchronous, 1, build, true), whole,
+                "sync");
+  ExpectSameRun(RunRaw(SchedulerKind::kEventDriven, 1, build, true), whole,
+                "event");
+  for (const unsigned threads : kThreadCounts) {
+    ExpectSameRun(RunRaw(SchedulerKind::kParallel, threads, build, true),
+                  whole, "threads=" + std::to_string(threads));
+  }
 }
 
 // ---------------------------------------------------------------------------
