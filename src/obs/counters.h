@@ -27,11 +27,12 @@
 ///     counter update made while a `Journal` is active is logged with its
 ///     cycle stamp; at the final barrier the engine replays the journal
 ///     backwards, undoing updates at cycles >= the merged finish cycle —
-///     the same mechanism the engine already uses for kernel-resume and
-///     link-delivery accounting. Journals are cleared at every epoch
-///     barrier (only final-epoch entries can ever need trimming), and each
-///     journal is written by exactly one worker thread (entities are
-///     partition-disjoint; split links use one journal per half).
+///     the same mechanism every serial link uses for its own delivery and
+///     protocol counters (sim/serial_link.h), split or not. Journals are
+///     cleared at every epoch barrier (only final-epoch entries can ever
+///     need trimming), and each journal is written by exactly one worker
+///     thread (entities are partition-disjoint; split links use one
+///     journal per half).
 
 #include <cstdint>
 #include <string>
@@ -264,6 +265,25 @@ struct FidelityCounters {
   }
 };
 
+/// Per-link protocol counters. Owned by the serial link itself (see
+/// sim/serial_link.h) — they are meaningful without the recorder — and
+/// exposed through LinkCounters::reliability when telemetry is enabled. The
+/// link journals them per half, so they trim like every other counter.
+/// Lossless links count only `delivered`; the rest stay 0.
+struct ReliabilityCounters {
+  std::uint64_t frames_sent = 0;       ///< wire entries, new + retransmit
+  std::uint64_t retransmits = 0;       ///< frames re-entered the wire (TX)
+  std::uint64_t timeouts = 0;          ///< retransmission timer fired (TX)
+  std::uint64_t wire_drops = 0;        ///< frames lost to faults (TX entry)
+  std::uint64_t wire_corruptions = 0;  ///< frames corrupted by faults (TX entry)
+  std::uint64_t checksum_failures = 0; ///< corrupted frames caught (RX)
+  std::uint64_t seq_discards = 0;      ///< duplicate/out-of-order frames (RX)
+  std::uint64_t acks_sent = 0;         ///< cumulative acks sent (RX)
+  std::uint64_t acks_dropped = 0;      ///< acks lost/corrupted by faults (RX)
+  std::uint64_t delivered = 0;         ///< payloads pushed into the RX FIFO
+  std::uint64_t recovered = 0;         ///< payloads handed back at failover
+};
+
 /// Per-link counters: utilization (delivery cycles) on the receiver side and
 /// credit-window stalls on the sender side. The two sides run on different
 /// worker threads when the link is split, so each owns a journal. Credit
@@ -275,58 +295,24 @@ struct LinkCounters {
   Cycle latency = 0;
   std::uint64_t busy_cycles = 0;          ///< cycles a payload was delivered
   std::uint64_t credit_stall_cycles = 0;  ///< TX had data, credit window full
-  // Reliability-protocol counters (always 0 on lossless links). Sender-side
-  // events journal through tx_journal, receiver-side through rx_journal.
-  std::uint64_t retransmits = 0;         ///< frames re-entered the wire (TX)
-  std::uint64_t timeouts = 0;            ///< retransmission timer fired (TX)
-  std::uint64_t wire_drops = 0;          ///< frames lost to faults (TX entry)
-  std::uint64_t wire_corruptions = 0;    ///< frames corrupted by faults (TX entry)
-  std::uint64_t checksum_failures = 0;   ///< corrupted frames caught (RX)
-  std::uint64_t seq_discards = 0;        ///< duplicate/out-of-order frames (RX)
   Journal rx_journal;
   Journal tx_journal;
+  /// The link's own protocol counters; set by the link at attach time,
+  /// exported in CountersJson (all zero while null).
+  const ReliabilityCounters* reliability = nullptr;
   /// Fidelity-mode counters of a FlowLink (null under kCycle fidelity); set
   /// by the link at attach time, exported under "fidelity" in CountersJson.
   const FidelityCounters* fidelity = nullptr;
   bool trace = false;
   std::vector<Cycle> deliveries;  ///< delivery cycles (packet-hop timeline)
 
-  void OnDeliver(Cycle now) {
-    ++busy_cycles;
-    rx_journal.Add(&busy_cycles, now, 1);
-    if (trace) deliveries.push_back(now);
-  }
-  /// Bulk delivery at a modeled flow wake: `n` payloads, all at cycle `now`.
-  void OnDeliverBulk(Cycle now, std::uint64_t n) {
+  /// `n` payloads delivered at cycle `now` (n > 1 at a modeled flow wake).
+  void OnDeliver(Cycle now, std::uint64_t n = 1) {
     busy_cycles += n;
     rx_journal.Add(&busy_cycles, now, n);
     if (trace) {
       deliveries.insert(deliveries.end(), static_cast<std::size_t>(n), now);
     }
-  }
-  void OnRetransmit(Cycle now) {
-    ++retransmits;
-    tx_journal.Add(&retransmits, now, 1);
-  }
-  void OnTimeout(Cycle now) {
-    ++timeouts;
-    tx_journal.Add(&timeouts, now, 1);
-  }
-  void OnWireDrop(Cycle now) {
-    ++wire_drops;
-    tx_journal.Add(&wire_drops, now, 1);
-  }
-  void OnWireCorruption(Cycle now) {
-    ++wire_corruptions;
-    tx_journal.Add(&wire_corruptions, now, 1);
-  }
-  void OnChecksumFailure(Cycle now) {
-    ++checksum_failures;
-    rx_journal.Add(&checksum_failures, now, 1);
-  }
-  void OnSeqDiscard(Cycle now) {
-    ++seq_discards;
-    rx_journal.Add(&seq_discards, now, 1);
   }
   /// Called once per sender-side step with this cycle's stall state; closes
   /// the span [tx_from_, now) carried by the previous state.

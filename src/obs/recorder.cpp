@@ -5,6 +5,14 @@
 #include "obs/trace.h"
 
 namespace smi::obs {
+namespace {
+
+const ReliabilityCounters& Reliability(const LinkCounters& l) {
+  static const ReliabilityCounters kNone;
+  return l.reliability != nullptr ? *l.reliability : kNone;
+}
+
+}  // namespace
 
 FifoCounters* Recorder::AddFifo(const std::string& name) {
   FifoCounters& c = fifos_.emplace_back();
@@ -123,12 +131,13 @@ json::Value Recorder::CountersJson() const {
     row["latency"] = json::Value(static_cast<std::int64_t>(l.latency));
     row["busy_cycles"] = json::Value(l.busy_cycles);
     row["credit_stall_cycles"] = json::Value(l.credit_stall_cycles);
-    row["retransmits"] = json::Value(l.retransmits);
-    row["timeouts"] = json::Value(l.timeouts);
-    row["wire_drops"] = json::Value(l.wire_drops);
-    row["wire_corruptions"] = json::Value(l.wire_corruptions);
-    row["checksum_failures"] = json::Value(l.checksum_failures);
-    row["seq_discards"] = json::Value(l.seq_discards);
+    const ReliabilityCounters& r = Reliability(l);
+    row["retransmits"] = json::Value(r.retransmits);
+    row["timeouts"] = json::Value(r.timeouts);
+    row["wire_drops"] = json::Value(r.wire_drops);
+    row["wire_corruptions"] = json::Value(r.wire_corruptions);
+    row["checksum_failures"] = json::Value(r.checksum_failures);
+    row["seq_discards"] = json::Value(r.seq_discards);
     if (l.fidelity != nullptr) {
       const FidelityCounters& f = *l.fidelity;
       json::Object fid;
@@ -197,8 +206,8 @@ json::Value Recorder::SummaryJson() const {
   for (const auto& l : links_) {
     busy += l.busy_cycles;
     credit_stalls += l.credit_stall_cycles;
-    retransmits += l.retransmits;
-    checksum_failures += l.checksum_failures;
+    retransmits += Reliability(l).retransmits;
+    checksum_failures += Reliability(l).checksum_failures;
   }
   std::uint64_t active = 0;
   for (const auto& k : kernels_) active += k.resumes;

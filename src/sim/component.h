@@ -115,10 +115,11 @@ class CutLink {
   /// `epoch_start`, so committed FIFO state may be inspected freely.
   virtual Cycle ExchangeAtBarrier(Cycle epoch_start) = 0;
 
-  /// Drop deliveries recorded at cycle >= `cycle` from the delivered
-  /// counter. The parallel scheduler lets partitions overshoot the global
-  /// completion cycle inside the final epoch; this trims the overshoot so
-  /// merged traffic statistics match the sequential schedulers exactly.
+  /// Undo every counter update (deliveries, protocol events) made at cycle
+  /// >= `cycle`, split or not. The parallel scheduler lets partitions
+  /// overshoot the global completion cycle inside the final epoch; this
+  /// trims the overshoot so merged traffic statistics match the sequential
+  /// schedulers exactly.
   virtual void TrimDeliveriesAtOrAfter(Cycle cycle) = 0;
 
   /// Wake FIFOs of the two halves and the receiver half's timed self-wake
@@ -128,21 +129,20 @@ class CutLink {
   virtual Cycle NextRxSelfWake(Cycle now) const = 0;
 
   /// Sender half's timed self-wake. The lossless `FlowLink`'s sender only
-  /// ever reacts to FIFO activity, hence the kNever default; a reliable link
-  /// also wakes on acknowledgement maturity and retransmission timeouts.
-  virtual Cycle NextTxSelfWake(Cycle /*now*/) const { return kNeverCycle; }
+  /// ever reacts to FIFO activity (kNeverCycle); a reliable link also wakes
+  /// on acknowledgement maturity and retransmission timeouts.
+  virtual Cycle NextTxSelfWake(Cycle now) const = 0;
 
   /// Bracket a parallel run. Called for *every* cut component (split or
-  /// not) when the parallel scheduler starts/finishes, so links that keep
-  /// trimmable per-cycle statistics (retransmit counters, death events) can
-  /// switch their undo logs on and off.
-  virtual void BeginParallelRun() {}
-  virtual void EndParallelRun() {}
+  /// not) when the parallel scheduler starts/finishes, so the link can
+  /// switch the undo journals of its trimmable counters on and off.
+  virtual void BeginParallelRun() = 0;
+  virtual void EndParallelRun() = 0;
 
   /// Epoch boundary notification for cut components that were *not* split
   /// (both endpoints landed in one partition). Split components piggyback on
-  /// ExchangeAtBarrier to age out their undo logs; unsplit ones get this.
-  virtual void OnUnsplitBarrier(Cycle /*epoch_start*/) {}
+  /// ExchangeAtBarrier to age out their undo journals; unsplit ones get this.
+  virtual void OnUnsplitBarrier(Cycle epoch_start) = 0;
 };
 
 }  // namespace smi::sim

@@ -40,12 +40,11 @@
 /// the producer refills at most one payload per cycle, so an interval of
 /// capacity-1 keeps the sawtooth occupancy strictly inside the FIFO.
 ///
-/// In-flight payloads live in a contiguous power-of-two ring with
-/// *batch-compressed* ready stamps (payload i of a batch matures at
-/// first_ready + i*step), so a modeled wake moves a whole interval's worth
-/// of payloads with span copies (Fifo::PopBulkModeled/PushBulkModeled) and
-/// O(1) batch bookkeeping instead of per-payload queue operations — the
-/// flow path's asymptotic advantage over cycle stepping comes from this.
+/// The wire, split staging, counters and overshoot journals are the shared
+/// serial-link core (sim/serial_link.h); this class adds the credit window
+/// and the cycle/flow state machine. The wire's batch-compressed ready
+/// stamps let a modeled wake move a whole interval with span copies and
+/// O(1) bookkeeping — the flow path's asymptotic advantage comes from this.
 ///
 /// Fault-plan links never use this class: the fabric pins any link whose
 /// fault spec is active to the cycle-accurate `ReliableLink` at build time
@@ -58,18 +57,16 @@
 /// tests (tests/sim/fidelity_differential_test.cpp) assert the end-to-end
 /// bound of ≤2% total cycles with bit-identical payloads.
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "obs/recorder.h"
 #include "sim/clock.h"
-#include "sim/component.h"
 #include "sim/engine.h"
 #include "sim/fidelity.h"
 #include "sim/fifo.h"
+#include "sim/serial_link.h"
 
 namespace smi::sim {
 
@@ -81,17 +78,17 @@ void WarnFidelityThrash(const std::string& link, std::uint64_t transitions,
 }  // namespace detail
 
 template <typename T>
-class FlowLink final : public Component,
-                       public CutLink,
-                       public FlowLinkControl {
+class FlowLink final : public SerialLink<T>, public FlowLinkControl {
+  using SerialLink<T>::tx_;
+  using SerialLink<T>::rx_;
+  using SerialLink<T>::latency_;
+  using SerialLink<T>::obs_;
+
  public:
   FlowLink(Engine& engine, std::string name, Fifo<T>& tx, Fifo<T>& rx,
            Cycle latency, const FidelityPolicy& policy)
-      : Component(std::move(name)),
+      : SerialLink<T>(std::move(name), tx, rx, latency),
         engine_(&engine),
-        tx_(&tx),
-        rx_(&rx),
-        latency_(latency),
         policy_(policy) {
     interval_ = policy_.flow_interval;
     const Cycle tx_cap = static_cast<Cycle>(tx.capacity());
@@ -120,10 +117,6 @@ class FlowLink final : public Component,
 
   /// Wake contract: FIFO activity wakes the link; in cycle mode the only
   /// timed wake is the head maturing (a stalled head waits for an RX pop).
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
-    out.push_back(tx_);
-    out.push_back(rx_);
-  }
   Cycle NextSelfWake(Cycle now) const override {
     // Invariant: while FIFO wakes are suspended (flow mode) this must
     // return a finite cycle, or the link would sleep forever.
@@ -131,10 +124,8 @@ class FlowLink final : public Component,
     return NextRxSelfWake(now);
   }
 
-  std::uint64_t delivered() const { return delivered_; }
-
   void AttachObservability(obs::Recorder& recorder) override {
-    obs_ = recorder.AddLink(name(), latency_);
+    SerialLink<T>::AttachObservability(recorder);
     if (policy_.enabled()) obs_->fidelity = &counters_;
   }
 
@@ -176,30 +167,26 @@ class FlowLink final : public Component,
   const obs::FidelityCounters& fidelity_counters() const override {
     return counters_;
   }
-  const std::string& flow_link_name() const override { return name(); }
+  const std::string& flow_link_name() const override { return this->name(); }
   bool in_flow_mode() const override { return flow_mode_; }
 
   // --- CutLink implementation (parallel scheduler; see component.h) ------
   //
   // Parallel runs pin the link to cycle mode (SetForcedCycle); the halves
-  // reuse CycleStep's `Deliver` and `Admit`. The in-flight ring becomes the
-  // receiver's pending queue and the sender stages accepts in `staging_`
-  // until the next barrier. `tx_outstanding_`, the sender's stale credit
-  // view, is exact at each barrier, drops once for a delivery the barrier
-  // predicted at the epoch-start cycle, and otherwise only grows: it
-  // over-estimates occupancy, so it never allows an accept the fused step
-  // would have stalled.
-
-  Cycle link_latency() const override { return latency_; }
+  // reuse CycleStep's `Deliver` and `Admit`, and the wire stages the
+  // sender's accepts until the next barrier. `tx_outstanding_`, the
+  // sender's stale credit view, is exact at each barrier, drops once for a
+  // delivery the barrier predicted at the epoch-start cycle, and otherwise
+  // only grows: it over-estimates occupancy, so it never allows an accept
+  // the fused step would have stalled.
 
   void BeginSplit() override {
-    tx_outstanding_ = flight_count_;
+    wire_.BeginSplit();
+    tx_outstanding_ = wire_.size();
     d0_cycle_ = kNeverCycle;
-    staging_.clear();
-    delivery_log_.clear();
   }
 
-  void EndSplit() override { MergeStaging(); }
+  void EndSplit() override { wire_.EndSplit(); }
 
   void StepTx(Cycle now) override {
     if (d0_cycle_ != kNeverCycle && now >= d0_cycle_) {
@@ -210,22 +197,22 @@ class FlowLink final : public Component,
       d0_cycle_ = kNeverCycle;
     }
     if (!Admit(now, tx_outstanding_)) return;
-    staging_.push_back(Slot{tx_->Pop(now), now + latency_});
+    wire_.Send(tx_->Pop(now), now + latency_);
     ++tx_outstanding_;
   }
 
-  void StepRx(Cycle now) override {
-    if (Deliver(now)) delivery_log_.push_back(now);
-  }
+  void StepRx(Cycle now) override { Deliver(now); }
 
   Cycle ExchangeAtBarrier(Cycle epoch_start) override {
     // Hand last epoch's accepts to the receiver side; every payload not yet
-    // delivered now sits in the pending queue, which resets the credits.
-    MergeStaging();
-    tx_outstanding_ = flight_count_;
+    // delivered is now on the wire, which resets the credits.
+    wire_.Merge();
+    this->ClearJournals();
+    tx_outstanding_ = wire_.size();
     // The delivery at the epoch-start cycle is decided entirely by state
     // committed before the barrier, so predict it exactly.
-    const bool d0 = HeadMatured(epoch_start) && rx_->CanPush(epoch_start);
+    const bool d0 =
+        wire_.HeadMatured(epoch_start) && rx_->CanPush(epoch_start);
     d0_cycle_ = d0 ? epoch_start : kNeverCycle;
     // Credit slack: with `window` payloads outstanding after the predicted
     // delivery and at most one accept per cycle, the sender's stale count
@@ -235,46 +222,25 @@ class FlowLink final : public Component,
     return cap > window ? static_cast<Cycle>(cap - window) : Cycle{1};
   }
 
-  void TrimDeliveriesAtOrAfter(Cycle cycle) override {
-    while (!delivery_log_.empty() && delivery_log_.back() >= cycle) {
-      delivery_log_.pop_back();
-      --delivered_;
-    }
-  }
-
-  const FifoBase* tx_wake_fifo() const override { return tx_; }
-  const FifoBase* rx_wake_fifo() const override { return rx_; }
   Cycle NextRxSelfWake(Cycle now) const override {
-    if (flight_count_ > 0 && FrontReady() > now) return FrontReady();
-    return kNeverCycle;
+    const bool pending = !wire_.empty() && wire_.FrontReady() > now;
+    return pending ? wire_.FrontReady() : kNeverCycle;
   }
+  /// The sender only ever reacts to FIFO activity (credits come back
+  /// through the barrier, not on a timer).
+  Cycle NextTxSelfWake(Cycle /*now*/) const override { return kNeverCycle; }
 
  private:
-  struct Slot {
-    T payload;
-    Cycle ready_at;
-  };
-
-  /// Ready stamps of a run of consecutive in-flight payloads: payload i of
-  /// the batch matures at first_ready + i*step. Cycle mode appends one
-  /// payload per cycle (extending a step-1 batch); a modeled wake appends
-  /// the whole bulk accept as at most two batches — the clamped prefix
-  /// maturing together (step 0) and the per-cycle remainder (step 1).
-  struct Batch {
-    Cycle first_ready;
-    std::uint64_t count;
-    std::uint32_t step;
-  };
-
   /// Cycle-accurate step (deliver, then accept) plus the steady-state
   /// detector feeding the promotion decision. A link that can never
   /// promote skips the detector, and one outside the fidelity machinery
   /// (kCycle) keeps no counters.
   void CycleStep(Cycle now) {
     if (policy_.enabled() && !forced_cycle_) ++counters_.stepped_cycles;
-    const bool blocked = !Deliver(now) && HeadMatured(now);  // congestion
-    const bool accept = Admit(now, flight_count_);
-    if (accept) FlightPush(tx_->Pop(now), now + latency_);
+    const bool blocked =
+        !Deliver(now) && wire_.HeadMatured(now);  // congestion
+    const bool accept = Admit(now, wire_.size());
+    if (accept) wire_.Push(tx_->Pop(now), now + latency_);
     if (!flow_capable_) return;
     if (blocked || !accept) {
       // A credit stall, a blocked delivery or an idle TX cycle all reset
@@ -303,18 +269,13 @@ class FlowLink final : public Component,
     }
   }
 
-  bool HeadMatured(Cycle now) const {
-    return flight_count_ > 0 && FrontReady() <= now;
-  }
-
   /// Deliver the pipeline head if it has matured and the RX FIFO can take
   /// it; a full RX FIFO stalls the pipeline (flow control keeps the link
   /// lossless). Shared by CycleStep and the split StepRx.
   bool Deliver(Cycle now) {
-    if (!HeadMatured(now) || !rx_->CanPush(now)) return false;
-    rx_->Push(FlightPop(), now);
-    ++delivered_;
-    if (obs_ != nullptr) obs_->OnDeliver(now);
+    if (!wire_.HeadMatured(now) || !rx_->CanPush(now)) return false;
+    rx_->Push(wire_.Pop(), now);
+    this->CountDelivered(now);
     return true;
   }
 
@@ -330,15 +291,6 @@ class FlowLink final : public Component,
     return admit;
   }
 
-  /// Move the sender side's staged payloads into the in-flight ring.
-  void MergeStaging() {
-    for (Slot& slot : staging_) {
-      FlightPush(std::move(slot.payload), slot.ready_at);
-    }
-    staging_.clear();
-    delivery_log_.clear();
-  }
-
   /// Modeled wake: bulk-deliver matured payloads, bulk-accept the elapsed
   /// interval's worth, or demote if the model's assumptions broke. All
   /// payload movement is span copies; per-payload work is zero.
@@ -346,67 +298,26 @@ class FlowLink final : public Component,
     const Cycle elapsed = now - last_flow_wake_;
     counters_.modeled_cycles += elapsed;
 
-    // 1. Deliver everything matured, bounded by committed RX space. A
-    //    step-1 batch can be split by the maturity horizon or the space
-    //    bound; whatever remains stays at the front for the next wake.
-    std::uint64_t space = rx_->ModeledPushBudget();
-    std::uint64_t delivered_now = 0;
-    while (space > 0 && flight_count_ > 0) {
-      Batch& b = batches_.front();
-      if (b.first_ready > now) break;
-      std::uint64_t m = b.count;
-      if (b.step != 0) {
-        const std::uint64_t mature =
-            static_cast<std::uint64_t>(now - b.first_ready) + 1;
-        if (mature < m) m = mature;
-      }
-      if (m > space) m = space;
-      FlightDeliverSpan(static_cast<std::size_t>(m), now);
-      if (b.step != 0) b.first_ready += static_cast<Cycle>(m);
-      b.count -= m;
-      if (b.count == 0) batches_.pop_front();
-      space -= m;
-      delivered_now += m;
-    }
-    delivered_ += delivered_now;
-    if (obs_ != nullptr && delivered_now > 0) {
-      obs_->OnDeliverBulk(now, delivered_now);
-    }
-    const bool rx_congested = flight_count_ > 0 && FrontReady() <= now;
+    // 1. Deliver everything matured, bounded by committed RX space.
+    const std::uint64_t delivered_now = wire_.DeliverMatured(*rx_, now);
+    if (delivered_now > 0) this->CountDelivered(now, delivered_now);
+    const bool rx_congested = wire_.HeadMatured(now);
 
     // 2. Accept the elapsed interval's worth of payloads in bulk.
     const std::size_t backlog_cap =
         static_cast<std::size_t>(latency_) + 1 +
         static_cast<std::size_t>(interval_);
     const std::uint64_t window_free =
-        flight_count_ < backlog_cap
-            ? static_cast<std::uint64_t>(backlog_cap - flight_count_)
+        wire_.size() < backlog_cap
+            ? static_cast<std::uint64_t>(backlog_cap - wire_.size())
             : 0;
     const FlowBatch batch =
         PlanFlowTransfer(last_flow_wake_, now, tx_->ModeledPopBudget(),
                          window_free, policy_.calibration);
     if (batch.accepts > 0) {
-      const std::size_t n = static_cast<std::size_t>(batch.accepts);
-      if (flight_count_ + n > flight_.size()) FlightGrow(n);
-      const std::size_t pos = (flight_head_ + flight_count_) & flight_mask_;
-      const std::size_t first = std::min(n, flight_.size() - pos);
-      tx_->PopBulkModeled(&flight_[pos], first, now);
-      if (n > first) tx_->PopBulkModeled(&flight_[0], n - first, now);
-      flight_count_ += n;
-      // Ready stamps are max(first_pop + i + hop_latency, now + 1): the
-      // already-due prefix matures together next cycle (step 0), the rest
-      // follows the per-cycle pop schedule (step 1).
-      const Cycle r0 = batch.first_pop + hop_latency_;
-      if (r0 > now) {
-        batches_.push_back(Batch{r0, batch.accepts, 1});
-      } else {
-        std::uint64_t clamped = static_cast<std::uint64_t>(now - r0) + 1;
-        if (clamped > batch.accepts) clamped = batch.accepts;
-        batches_.push_back(Batch{now + 1, clamped, 0});
-        if (batch.accepts > clamped) {
-          batches_.push_back(Batch{now + 1, batch.accepts - clamped, 1});
-        }
-      }
+      // Ready stamps are max(first_pop + i + hop_latency, now + 1).
+      wire_.AcceptBulk(*tx_, batch.accepts, batch.first_pop + hop_latency_,
+                       now);
     }
 
     last_flow_wake_ = now;
@@ -542,69 +453,6 @@ class FlowLink final : public Component,
     engine_->SetComponentFifoWakeSuspended(*this, false);
   }
 
-  // --- In-flight ring ---------------------------------------------------
-
-  Cycle FrontReady() const { return batches_.front().first_ready; }
-
-  /// Append one payload maturing at `ready`, extending the tail batch when
-  /// the stamp continues its arithmetic run (the cycle-mode common case).
-  void FlightPush(T payload, Cycle ready) {
-    if (flight_count_ + 1 > flight_.size()) FlightGrow(1);
-    flight_[(flight_head_ + flight_count_) & flight_mask_] =
-        std::move(payload);
-    ++flight_count_;
-    if (!batches_.empty()) {
-      Batch& b = batches_.back();
-      if ((b.step == 1 && ready == b.first_ready + b.count) ||
-          (b.step == 0 && ready == b.first_ready)) {
-        ++b.count;
-        return;
-      }
-      if (b.count == 1 && ready == b.first_ready) {
-        b.step = 0;
-        ++b.count;
-        return;
-      }
-    }
-    batches_.push_back(Batch{ready, 1, 1});
-  }
-
-  /// Pop the head payload (cycle mode / split RX half).
-  T FlightPop() {
-    T payload = std::move(flight_[flight_head_ & flight_mask_]);
-    ++flight_head_;
-    --flight_count_;
-    Batch& b = batches_.front();
-    b.first_ready += b.step;
-    if (--b.count == 0) batches_.pop_front();
-    return payload;
-  }
-
-  /// Bulk-deliver `m` head payloads into RX as span copies. Batch
-  /// bookkeeping is the caller's (FlowStep) responsibility.
-  void FlightDeliverSpan(std::size_t m, Cycle now) {
-    const std::size_t pos = flight_head_ & flight_mask_;
-    const std::size_t first = std::min(m, flight_.size() - pos);
-    rx_->PushBulkModeled(&flight_[pos], first, now);
-    if (m > first) rx_->PushBulkModeled(&flight_[0], m - first, now);
-    flight_head_ += m;
-    flight_count_ -= m;
-  }
-
-  /// Grow the ring (a power of two, empty until the first payload) to fit
-  /// `need` more payloads. Idle links thus cost no ring at all.
-  void FlightGrow(std::size_t need) {
-    std::size_t size = std::max<std::size_t>(flight_.size(), 2);
-    while (size < flight_count_ + need) size <<= 1;
-    std::vector<T> next(size);
-    for (std::size_t i = 0; i < flight_count_; ++i) {
-      next[i] = std::move(flight_[(flight_head_ + i) & flight_mask_]);
-    }
-    flight_ = std::move(next);
-    flight_head_ = 0;
-    flight_mask_ = size - 1;
-  }
-
   void NoteTransition(Cycle now) {
     if (now - thrash_window_start_ >= policy_.thrash_window) {
       thrash_window_start_ = now;
@@ -615,15 +463,12 @@ class FlowLink final : public Component,
     if (thrash_transitions_ > policy_.thrash_limit && !thrash_warned_) {
       thrash_warned_ = true;
       ++counters_.thrash_warnings;
-      detail::WarnFidelityThrash(name(), thrash_transitions_,
+      detail::WarnFidelityThrash(this->name(), thrash_transitions_,
                                  policy_.thrash_window, now);
     }
   }
 
   Engine* engine_;
-  Fifo<T>* tx_;
-  Fifo<T>* rx_;
-  Cycle latency_;
   FidelityPolicy policy_;
   /// Consecutive accepts required by the fast (backlog-evidence) promotion.
   static constexpr Cycle kFastPromoteAccepts = 4;
@@ -653,20 +498,10 @@ class FlowLink final : public Component,
   std::uint64_t thrash_transitions_ = 0;
   bool thrash_warned_ = false;
 
-  // Link state: the in-flight pipeline, stored as a contiguous payload ring
-  // + batch-compressed ready stamps.
-  std::vector<T> flight_;
-  std::size_t flight_mask_ = 1;
-  std::size_t flight_head_ = 0;   ///< monotone; mask on access
-  std::size_t flight_count_ = 0;
-  std::deque<Batch> batches_;
-  std::uint64_t delivered_ = 0;
-  obs::LinkCounters* obs_ = nullptr;
+  Wire<T> wire_;  ///< the in-flight pipeline
   obs::FidelityCounters counters_;
 
-  // Split-mode state (see CutLink methods).
-  std::deque<Slot> staging_;
-  std::vector<Cycle> delivery_log_;
+  // Split-mode credit view (see CutLink methods).
   std::size_t tx_outstanding_ = 0;
   Cycle d0_cycle_ = kNeverCycle;
 };

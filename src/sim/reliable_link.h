@@ -32,6 +32,12 @@
 ///    bit-identity, since under the parallel scheduler the receiver cannot
 ///    learn of the death before the next epoch barrier anyway.
 ///
+/// Layering: the protocol is framing over the serial-link core
+/// (sim/serial_link.h). The forward and acknowledgement channels are two
+/// `Wire`s; the delivered and protocol counters (`stats()`) and their
+/// parallel-overshoot journals come from `SerialLink`, split or not. A
+/// death at or after the trim cycle is undone through `dead_cycle_`.
+///
 /// Determinism: fault decisions are pure functions of (seed, cycle, channel)
 /// — see link_fault.h — and both directions of the wire are latency-delayed,
 /// so a split epoch no longer than the latency cannot observe anything the
@@ -41,16 +47,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/recorder.h"
 #include "sim/clock.h"
-#include "sim/component.h"
 #include "sim/fifo.h"
 #include "sim/link_fault.h"
+#include "sim/serial_link.h"
 
 namespace smi::sim {
 
@@ -63,32 +67,21 @@ struct ReliableLinkConfig {
 };
 
 template <typename T>
-class ReliableLink final : public Component, public CutLink {
- public:
-  /// Counters surfaced in the fault report. Kept bit-identical across
-  /// schedulers via the per-side event logs (see TrimDeliveriesAtOrAfter).
-  struct Stats {
-    std::uint64_t frames_sent = 0;       ///< wire entries, new + retransmit
-    std::uint64_t retransmits = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t wire_drops = 0;        ///< frames lost to injected faults
-    std::uint64_t wire_corruptions = 0;  ///< frames corrupted by faults
-    std::uint64_t checksum_failures = 0; ///< corruptions caught at RX
-    std::uint64_t seq_discards = 0;      ///< duplicate/out-of-order frames
-    std::uint64_t acks_sent = 0;
-    std::uint64_t acks_dropped = 0;      ///< acks lost/corrupted by faults
-    std::uint64_t delivered = 0;
-    std::uint64_t recovered = 0;         ///< payloads handed back at failover
-  };
+class ReliableLink final : public SerialLink<T> {
+  using SerialLink<T>::tx_;
+  using SerialLink<T>::rx_;
+  using SerialLink<T>::latency_;
+  using SerialLink<T>::obs_;
+  using SerialLink<T>::stats_;
 
+ public:
   ReliableLink(std::string name, Fifo<T>& tx, Fifo<T>& rx,
                ReliableLinkConfig config)
-      : Component(std::move(name)),
-        tx_(&tx),
-        rx_(&rx),
-        latency_(std::max<Cycle>(config.latency, 1)),
-        window_(config.window != 0 ? config.window
-                                   : 2 * (static_cast<std::size_t>(latency_) + 1)),
+      : SerialLink<T>(std::move(name), tx, rx,
+                      std::max<Cycle>(config.latency, 1)),
+        window_(config.window != 0
+                    ? config.window
+                    : 2 * (static_cast<std::size_t>(latency_) + 1)),
         rto_(config.rto != 0 ? config.rto : 4 * (latency_ + 1)),
         backoff_cap_(std::clamp(config.backoff_cap, 0, 32)),
         retry_budget_(config.retry_budget) {}
@@ -100,23 +93,14 @@ class ReliableLink final : public Component, public CutLink {
   }
 
   void Step(Cycle now) override {
-    if (fully_dead_) return;
-    StepRxImpl(now);
-    if (!dead_) StepTxImpl(now);
+    StepRx(now);
+    StepTx(now);
   }
 
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
-    out.push_back(tx_);
-    out.push_back(rx_);
-  }
   Cycle NextSelfWake(Cycle now) const override {
     return std::min(NextTxSelfWake(now), NextRxSelfWake(now));
   }
 
-  std::uint64_t delivered() const { return delivered_; }
-  Cycle latency() const { return latency_; }
-  std::size_t window() const { return window_; }
-  const Stats& stats() const { return stats_; }
   bool dead() const { return dead_ || fully_dead_; }
   Cycle dead_cycle() const { return dead_cycle_; }
 
@@ -128,9 +112,12 @@ class ReliableLink final : public Component, public CutLink {
   std::vector<T> TakeUndelivered() {
     std::vector<T> out;
     out.reserve(rx_pending_.size() + send_window_.size());
-    for (T& p : rx_pending_) out.push_back(std::move(p));
+    for (std::size_t i = 0; i < rx_pending_.size(); ++i) {
+      out.push_back(std::move(rx_pending_[i]));
+    }
     rx_pending_.clear();
-    for (Frame& f : send_window_) {
+    for (std::size_t i = 0; i < send_window_.size(); ++i) {
+      Frame& f = send_window_[i];
       if (f.seq >= expected_seq_) out.push_back(std::move(f.payload));
     }
     send_window_.clear();
@@ -141,86 +128,40 @@ class ReliableLink final : public Component, public CutLink {
   /// Final shutdown at failover: drop everything in flight and freeze both
   /// halves. Call after TakeUndelivered.
   void Quiesce() {
-    fwd_wire_.clear();
-    ack_wire_.clear();
-    staging_fwd_.clear();
-    staging_ack_.clear();
+    fwd_wire_.Clear();
+    ack_wire_.Clear();
     send_window_.clear();
     rx_pending_.clear();
     fully_dead_ = true;
   }
 
-  void AttachObservability(obs::Recorder& recorder) override {
-    obs_ = recorder.AddLink(name(), latency_);
-  }
-
   // --- CutLink implementation (parallel scheduler; see component.h) ------
 
-  Cycle link_latency() const override { return latency_; }
-
   void BeginSplit() override {
-    split_ = true;
-    staging_fwd_.clear();
-    staging_ack_.clear();
+    fwd_wire_.BeginSplit();
+    ack_wire_.BeginSplit();
   }
-
   void EndSplit() override {
-    for (Frame& f : staging_fwd_) fwd_wire_.push_back(std::move(f));
-    staging_fwd_.clear();
-    for (AckSlot& a : staging_ack_) ack_wire_.push_back(a);
-    staging_ack_.clear();
-    split_ = false;
-  }
-
-  void StepTx(Cycle now) override {
-    if (dead_ || fully_dead_) return;
-    StepTxImpl(now);
-  }
-  void StepRx(Cycle now) override {
-    if (fully_dead_) return;
-    StepRxImpl(now);
+    fwd_wire_.EndSplit();
+    ack_wire_.EndSplit();
   }
 
   Cycle ExchangeAtBarrier(Cycle /*epoch_start*/) override {
-    for (Frame& f : staging_fwd_) fwd_wire_.push_back(std::move(f));
-    staging_fwd_.clear();
-    for (AckSlot& a : staging_ack_) ack_wire_.push_back(a);
-    staging_ack_.clear();
-    tx_log_.clear();
-    rx_log_.clear();
+    fwd_wire_.Merge();
+    ack_wire_.Merge();
+    this->ClearJournals();
     // Both directions are latency-delayed and there is no instantaneous
     // credit channel, so any epoch no longer than the latency is exact.
     return latency_;
   }
 
-  void BeginParallelRun() override {
-    logging_ = true;
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-  void EndParallelRun() override {
-    logging_ = false;
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-  void OnUnsplitBarrier(Cycle /*epoch_start*/) override {
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-
   void TrimDeliveriesAtOrAfter(Cycle cycle) override {
-    while (!tx_log_.empty() && tx_log_.back().cycle >= cycle) {
-      Undo(tx_log_.back().kind);
-      tx_log_.pop_back();
-    }
-    while (!rx_log_.empty() && rx_log_.back().cycle >= cycle) {
-      Undo(rx_log_.back().kind);
-      rx_log_.pop_back();
+    SerialLink<T>::TrimDeliveriesAtOrAfter(cycle);
+    if (dead_cycle_ >= cycle) {
+      dead_ = false;
+      dead_cycle_ = kNeverCycle;
     }
   }
-
-  const FifoBase* tx_wake_fifo() const override { return tx_; }
-  const FifoBase* rx_wake_fifo() const override { return rx_; }
 
   Cycle NextRxSelfWake(Cycle now) const override {
     if (fully_dead_) return kNeverCycle;
@@ -231,13 +172,13 @@ class ReliableLink final : public Component, public CutLink {
     // head maturing and the frame-per-cycle drain of a matured backlog.
     if (!rx_pending_.empty() && rx_->CanPush(now)) return now + 1;
     if (fwd_wire_.empty()) return kNeverCycle;
-    const Frame& head = fwd_wire_.front();
-    if (head.ready_at > now) return head.ready_at;
+    if (fwd_wire_.FrontReady() > now) return fwd_wire_.FrontReady();
     // Matured head left unconsumed: if it is acceptable but the receive
     // buffer is full, only RX FIFO activity can unblock it; if it is
     // garbage (bad checksum or out of sequence) it will be discarded on the
     // next step regardless of buffer space.
     if (rx_pending_.size() < window_) return now + 1;
+    const Frame& head = fwd_wire_.Front();
     const bool discardable =
         WireChecksum(head.payload) != head.checksum || head.seq != expected_seq_;
     return discardable ? now + 1 : kNeverCycle;
@@ -247,7 +188,7 @@ class ReliableLink final : public Component, public CutLink {
     if (dead_ || fully_dead_) return kNeverCycle;
     Cycle wake = kNeverCycle;
     if (!ack_wire_.empty()) {
-      wake = std::min(wake, std::max(ack_wire_.front().ready_at, now + 1));
+      wake = std::min(wake, std::max(ack_wire_.FrontReady(), now + 1));
     }
     const bool replay = retx_next_seq_ < retx_end_seq_;
     if (replay) {
@@ -261,95 +202,28 @@ class ReliableLink final : public Component, public CutLink {
     return wake;
   }
 
- private:
-  struct Frame {
-    T payload;
-    std::uint64_t seq = 0;
-    std::uint32_t checksum = 0;
-    Cycle ready_at = 0;
-  };
-  struct AckSlot {
-    std::uint64_t ack;
-    Cycle ready_at;
-  };
-
-  /// Cycle-stamped event log for the parallel scheduler's overshoot trim;
-  /// recording is enabled only between BeginParallelRun/EndParallelRun.
-  enum class Ev : std::uint8_t {
-    kFrameSent,
-    kRetransmit,
-    kTimeout,
-    kWireDrop,
-    kWireCorrupt,
-    kDeath,
-    kChecksumFail,
-    kSeqDiscard,
-    kAckSent,
-    kAckDropped,
-    kDeliver,
-  };
-  struct Event {
-    Cycle cycle;
-    Ev kind;
-  };
-
-  void LogTx(Cycle now, Ev kind) {
-    if (logging_) tx_log_.push_back(Event{now, kind});
-  }
-  void LogRx(Cycle now, Ev kind) {
-    if (logging_) rx_log_.push_back(Event{now, kind});
-  }
-
-  void Undo(Ev kind) {
-    switch (kind) {
-      case Ev::kFrameSent: --stats_.frames_sent; break;
-      case Ev::kRetransmit: --stats_.retransmits; break;
-      case Ev::kTimeout: --stats_.timeouts; break;
-      case Ev::kWireDrop: --stats_.wire_drops; break;
-      case Ev::kWireCorrupt: --stats_.wire_corruptions; break;
-      case Ev::kChecksumFail: --stats_.checksum_failures; break;
-      case Ev::kSeqDiscard: --stats_.seq_discards; break;
-      case Ev::kAckSent: --stats_.acks_sent; break;
-      case Ev::kAckDropped: --stats_.acks_dropped; break;
-      case Ev::kDeliver:
-        --stats_.delivered;
-        --delivered_;
-        break;
-      case Ev::kDeath:
-        dead_ = false;
-        dead_cycle_ = kNeverCycle;
-        break;
-    }
-  }
-
-  void StepRxImpl(Cycle now) {
+  /// Receiver half; the fused Step runs it before the sender half.
+  void StepRx(Cycle now) override {
+    if (fully_dead_) return;
     // Deliver the head of the receive buffer into the RX FIFO.
     if (!rx_pending_.empty() && rx_->CanPush(now)) {
       rx_->Push(rx_pending_.front(), now);
       rx_pending_.pop_front();
-      ++delivered_;
-      ++stats_.delivered;
-      LogRx(now, Ev::kDeliver);
-      if (obs_ != nullptr) obs_->OnDeliver(now);
+      this->CountDelivered(now);
     }
     // Examine at most one matured wire frame per cycle.
-    if (fwd_wire_.empty() || fwd_wire_.front().ready_at > now) return;
-    Frame& f = fwd_wire_.front();
+    if (!fwd_wire_.HeadMatured(now)) return;
+    const Frame& f = fwd_wire_.Front();
     if (WireChecksum(f.payload) != f.checksum) {
-      ++stats_.checksum_failures;
-      LogRx(now, Ev::kChecksumFail);
-      if (obs_ != nullptr) obs_->OnChecksumFailure(now);
-      fwd_wire_.pop_front();
+      this->CountRx(stats_.checksum_failures, now);
+      (void)fwd_wire_.Pop();
       SendAck(now);
     } else if (f.seq != expected_seq_) {
-      ++stats_.seq_discards;
-      LogRx(now, Ev::kSeqDiscard);
-      if (obs_ != nullptr) obs_->OnSeqDiscard(now);
-      fwd_wire_.pop_front();
+      this->CountRx(stats_.seq_discards, now);
+      (void)fwd_wire_.Pop();
       SendAck(now);
     } else if (rx_pending_.size() < window_) {
-      rx_pending_.push_back(std::move(f.payload));
-      fwd_wire_.pop_front();
+      rx_pending_.push_back(fwd_wire_.Pop().payload);
       ++expected_seq_;
       SendAck(now);
     }
@@ -357,11 +231,12 @@ class ReliableLink final : public Component, public CutLink {
     // starvation back-pressures the sender (at worst via retransmission).
   }
 
-  void StepTxImpl(Cycle now) {
+  /// Sender half; a dead sender stays frozen.
+  void StepTx(Cycle now) override {
+    if (dead_ || fully_dead_) return;
     // Consume at most one matured cumulative acknowledgement per cycle.
-    if (!ack_wire_.empty() && ack_wire_.front().ready_at <= now) {
-      const std::uint64_t a = ack_wire_.front().ack;
-      ack_wire_.pop_front();
+    if (ack_wire_.HeadMatured(now)) {
+      const std::uint64_t a = ack_wire_.Pop();
       if (a > base_seq_) {
         while (base_seq_ < a && !send_window_.empty()) {
           send_window_.pop_front();
@@ -384,9 +259,7 @@ class ReliableLink final : public Component, public CutLink {
                 now, /*retransmit=*/true);
       ++retx_next_seq_;
     } else if (!send_window_.empty() && now >= rto_deadline_) {
-      ++stats_.timeouts;
-      LogTx(now, Ev::kTimeout);
-      if (obs_ != nullptr) obs_->OnTimeout(now);
+      this->CountTx(stats_.timeouts, now);
       ++rounds_;
       if (retry_budget_ != 0 && rounds_ > retry_budget_) {
         Die(now);
@@ -414,62 +287,52 @@ class ReliableLink final : public Component, public CutLink {
     if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !accept);
   }
 
+ private:
+  struct Frame {
+    T payload;
+    std::uint64_t seq = 0;
+    std::uint32_t checksum = 0;
+  };
+
   void SendFrame(const Frame& f, Cycle now, bool retransmit) {
-    ++stats_.frames_sent;
-    LogTx(now, Ev::kFrameSent);
-    if (retransmit) {
-      ++stats_.retransmits;
-      LogTx(now, Ev::kRetransmit);
-      if (obs_ != nullptr) obs_->OnRetransmit(now);
-    }
+    this->CountTx(stats_.frames_sent, now);
+    if (retransmit) this->CountTx(stats_.retransmits, now);
     auto action = LinkFaultHook::Action::kNone;
     if (hook_ != nullptr) {
       action = hook_->OnWireEntry(now, LinkFaultHook::kForwardChannel);
     }
     if (action == LinkFaultHook::Action::kDrop) {
-      ++stats_.wire_drops;
-      LogTx(now, Ev::kWireDrop);
-      if (obs_ != nullptr) obs_->OnWireDrop(now);
+      this->CountTx(stats_.wire_drops, now);
       return;
     }
     Frame wire = f;
-    wire.ready_at = now + latency_;
     if (action == LinkFaultHook::Action::kCorrupt) {
       CorruptInPlace(wire.payload, hook_->CorruptionPattern(now));
-      ++stats_.wire_corruptions;
-      LogTx(now, Ev::kWireCorrupt);
-      if (obs_ != nullptr) obs_->OnWireCorruption(now);
+      this->CountTx(stats_.wire_corruptions, now);
     }
-    (split_ ? staging_fwd_ : fwd_wire_).push_back(std::move(wire));
+    fwd_wire_.Send(std::move(wire), now + latency_);
   }
 
   void SendAck(Cycle now) {
-    ++stats_.acks_sent;
-    LogRx(now, Ev::kAckSent);
+    this->CountRx(stats_.acks_sent, now);
     auto action = LinkFaultHook::Action::kNone;
     if (hook_ != nullptr) {
       action = hook_->OnWireEntry(now, LinkFaultHook::kAckChannel);
     }
     if (action != LinkFaultHook::Action::kNone) {
       // A corrupted ack fails the sender's validity check; same as a drop.
-      ++stats_.acks_dropped;
-      LogRx(now, Ev::kAckDropped);
+      this->CountRx(stats_.acks_dropped, now);
       return;
     }
-    (split_ ? staging_ack_ : ack_wire_)
-        .push_back(AckSlot{expected_seq_, now + latency_});
+    ack_wire_.Send(expected_seq_, now + latency_);
   }
 
   void Die(Cycle now) {
     dead_ = true;
     dead_cycle_ = now;
-    LogTx(now, Ev::kDeath);
     if (sink_ != nullptr) sink_->OnLinkDead(link_id_, now);
   }
 
-  Fifo<T>* tx_;
-  Fifo<T>* rx_;
-  Cycle latency_;
   std::size_t window_;
   Cycle rto_;
   int backoff_cap_;
@@ -478,13 +341,12 @@ class ReliableLink final : public Component, public CutLink {
   LinkFaultHook* hook_ = nullptr;
   LinkDeathSink* sink_ = nullptr;
   std::size_t link_id_ = 0;
-  obs::LinkCounters* obs_ = nullptr;
 
   // Sender half.
-  std::deque<Frame> send_window_;  ///< unacknowledged frames, base first
+  Ring<Frame> send_window_;        ///< unacknowledged frames, base first
   std::uint64_t next_seq_ = 0;     ///< next fresh sequence number
   std::uint64_t base_seq_ = 0;     ///< oldest unacknowledged sequence
-  std::deque<AckSlot> ack_wire_;   ///< reverse channel, latency-delayed
+  Wire<std::uint64_t> ack_wire_;   ///< reverse channel: cumulative acks
   Cycle rto_deadline_ = kNeverCycle;
   int backoff_ = 0;
   std::uint64_t rounds_ = 0;            ///< consecutive fruitless timeouts
@@ -494,22 +356,11 @@ class ReliableLink final : public Component, public CutLink {
   Cycle dead_cycle_ = kNeverCycle;
 
   // Receiver half.
-  std::deque<Frame> fwd_wire_;     ///< forward channel, latency-delayed
-  std::deque<T> rx_pending_;       ///< accepted frames awaiting RX FIFO space
+  Wire<Frame> fwd_wire_;           ///< forward channel
+  Ring<T> rx_pending_;             ///< accepted frames awaiting RX FIFO space
   std::uint64_t expected_seq_ = 0;
-  std::uint64_t delivered_ = 0;
 
   bool fully_dead_ = false;  ///< quiesced by failover; both halves frozen
-
-  // Split-mode staging (see CutLink) and parallel-overshoot event logs.
-  bool split_ = false;
-  std::deque<Frame> staging_fwd_;
-  std::deque<AckSlot> staging_ack_;
-  bool logging_ = false;
-  std::vector<Event> tx_log_;
-  std::vector<Event> rx_log_;
-
-  Stats stats_;
 };
 
 }  // namespace smi::sim

@@ -325,13 +325,13 @@ void Fabric::BuildLinks(
         if (plan.reliability.retry_budget != 0) {
           link.set_death_sink(this, link_index);
         }
-        rec.rlink = &link;
+        rec.link = rec.rlink = &link;
       } else {
         sim::FlowLink<net::Packet>& link =
             engine.MakeComponent<sim::FlowLink<net::Packet>>(
                 engine, link_name, tx, rx, config_.link_latency, fidelity);
         engine.MarkCutComponent(link, link, from.rank, to.rank);
-        rec.flow = &link;
+        rec.link = &link;
       }
       if (from.rank == a.rank) {
         cables_[cable_index].fwd_link = link_index;
@@ -419,10 +419,7 @@ void Fabric::UploadHandlers(const std::vector<HandlerTable>& tables) {
 
 std::uint64_t Fabric::TotalLinkPackets() const {
   std::uint64_t total = 0;
-  for (const LinkRec& rec : link_recs_) {
-    total += rec.flow != nullptr ? rec.flow->delivered()
-                                 : rec.rlink->delivered();
-  }
+  for (const LinkRec& rec : link_recs_) total += rec.link->delivered();
   return total;
 }
 
@@ -492,41 +489,37 @@ void Fabric::ExecuteFailover(std::size_t link_id, sim::Cycle death_cycle,
 
 json::Value Fabric::FaultsJson() const {
   if (!config_.fault.enabled) return json::Value();
+  using Counter = std::uint64_t obs::ReliabilityCounters::*;
+  static const std::pair<const char*, Counter> kCounters[] = {
+      {"frames_sent", &obs::ReliabilityCounters::frames_sent},
+      {"retransmits", &obs::ReliabilityCounters::retransmits},
+      {"timeouts", &obs::ReliabilityCounters::timeouts},
+      {"wire_drops", &obs::ReliabilityCounters::wire_drops},
+      {"wire_corruptions", &obs::ReliabilityCounters::wire_corruptions},
+      {"checksum_failures", &obs::ReliabilityCounters::checksum_failures},
+      {"seq_discards", &obs::ReliabilityCounters::seq_discards},
+      {"acks_sent", &obs::ReliabilityCounters::acks_sent},
+      {"acks_dropped", &obs::ReliabilityCounters::acks_dropped},
+      {"delivered", &obs::ReliabilityCounters::delivered},
+      {"recovered", &obs::ReliabilityCounters::recovered},
+  };
   json::Object o;
   o["enabled"] = true;
   o["seed"] = config_.fault.seed;
   json::Array links;
-  sim::ReliableLink<net::Packet>::Stats totals;
+  obs::ReliabilityCounters totals;
   for (const LinkRec& rec : link_recs_) {
     if (rec.rlink == nullptr) continue;
-    const auto& s = rec.rlink->stats();
+    const obs::ReliabilityCounters& s = rec.rlink->stats();
     json::Object row;
     row["link"] = fault::DirectedKey(rec.from.rank, rec.from.port,
                                      rec.to.rank, rec.to.port);
     row["dead"] = rec.rlink->dead();
-    row["frames_sent"] = s.frames_sent;
-    row["retransmits"] = s.retransmits;
-    row["timeouts"] = s.timeouts;
-    row["wire_drops"] = s.wire_drops;
-    row["wire_corruptions"] = s.wire_corruptions;
-    row["checksum_failures"] = s.checksum_failures;
-    row["seq_discards"] = s.seq_discards;
-    row["acks_sent"] = s.acks_sent;
-    row["acks_dropped"] = s.acks_dropped;
-    row["delivered"] = s.delivered;
-    row["recovered"] = s.recovered;
+    for (const auto& [name, counter] : kCounters) {
+      row[name] = s.*counter;
+      totals.*counter += s.*counter;
+    }
     links.push_back(std::move(row));
-    totals.frames_sent += s.frames_sent;
-    totals.retransmits += s.retransmits;
-    totals.timeouts += s.timeouts;
-    totals.wire_drops += s.wire_drops;
-    totals.wire_corruptions += s.wire_corruptions;
-    totals.checksum_failures += s.checksum_failures;
-    totals.seq_discards += s.seq_discards;
-    totals.acks_sent += s.acks_sent;
-    totals.acks_dropped += s.acks_dropped;
-    totals.delivered += s.delivered;
-    totals.recovered += s.recovered;
   }
   o["links"] = std::move(links);
   json::Array fos;
@@ -540,17 +533,7 @@ json::Value Fabric::FaultsJson() const {
   }
   o["failovers"] = std::move(fos);
   json::Object tot;
-  tot["frames_sent"] = totals.frames_sent;
-  tot["retransmits"] = totals.retransmits;
-  tot["timeouts"] = totals.timeouts;
-  tot["wire_drops"] = totals.wire_drops;
-  tot["wire_corruptions"] = totals.wire_corruptions;
-  tot["checksum_failures"] = totals.checksum_failures;
-  tot["seq_discards"] = totals.seq_discards;
-  tot["acks_sent"] = totals.acks_sent;
-  tot["acks_dropped"] = totals.acks_dropped;
-  tot["delivered"] = totals.delivered;
-  tot["recovered"] = totals.recovered;
+  for (const auto& [name, counter] : kCounters) tot[name] = totals.*counter;
   o["totals"] = std::move(tot);
   return o;
 }
@@ -558,10 +541,11 @@ json::Value Fabric::FaultsJson() const {
 json::Value Fabric::FidelityJson() const {
   const sim::FidelityPolicy& fidelity = engine_->config().fidelity;
   if (!fidelity.enabled()) return json::Value();
-  std::vector<const sim::FlowLinkControl*> links;
+  const std::vector<sim::FlowLinkControl*>& flow = engine_->flow_links();
+  const std::vector<const sim::FlowLinkControl*> links(flow.begin(),
+                                                       flow.end());
   json::Array pinned;
   for (const LinkRec& rec : link_recs_) {
-    if (rec.flow != nullptr) links.push_back(rec.flow);
     if (rec.rlink != nullptr) {  // fault-pinned: see LinkRec
       pinned.push_back(std::string(fault::DirectedKey(
           rec.from.rank, rec.from.port, rec.to.rank, rec.to.port)));

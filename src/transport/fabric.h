@@ -43,6 +43,7 @@
 #include "sim/flow_link.h"
 #include "sim/link_fault.h"
 #include "sim/reliable_link.h"
+#include "sim/serial_link.h"
 #include "transport/ckr.h"
 #include "transport/cks.h"
 
@@ -175,15 +176,15 @@ class Fabric final : public sim::LinkDeathSink {
     std::size_t rev_link = 0;  ///< b -> a directed link index
     bool alive = true;
   };
-  /// One directed link: exactly one of `rlink` and `flow` is set. Under a
-  /// non-cycle fidelity policy `rlink` marks a fault-pinned cable (injected
-  /// faults are always timed exactly).
+  /// One directed link. `rlink` is set on a fault-plan (go-back-N) build;
+  /// under a non-cycle fidelity policy it marks a fault-pinned cable
+  /// (injected faults are always timed exactly).
   struct LinkRec {
     net::PortId from, to;
     std::size_t cable = 0;
     PacketFifo* tx = nullptr;  ///< CKS-side net FIFO feeding the link
+    sim::SerialLink<net::Packet>* link = nullptr;     ///< either build
     sim::ReliableLink<net::Packet>* rlink = nullptr;  ///< fault-plan build
-    sim::FlowLink<net::Packet>* flow = nullptr;       ///< lossless build
   };
   struct FailoverRecord {
     std::string cable;

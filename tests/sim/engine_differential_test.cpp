@@ -120,6 +120,33 @@ TEST(EngineDifferential, P2pStreamIsCycleIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Fire-and-forget: rank 0 finishes while its packets are still on the first
+// link and no kernel ever receives them. With one worker thread the
+// parallel scheduler splits no link, so the deliveries it makes past the
+// finish cycle must be trimmed on unsplit links too.
+
+Kernel FireAndForgetSender(Context& ctx, int n) {
+  SendChannel ch = ctx.OpenSendChannel(n, DataType::kInt, /*destination=*/1,
+                                       /*port=*/0, ctx.world());
+  for (int i = 0; i < n; ++i) co_await ch.Push<std::int32_t>(i);
+}
+
+ClusterObservation RunFireAndForget(const ClusterConfig& config,
+                                    std::vector<std::int32_t>& /*sink*/) {
+  ProgramSpec spec;
+  spec.Add(OpSpec::Send(0, DataType::kInt));
+  spec.Add(OpSpec::Recv(0, DataType::kInt));
+  Cluster cluster(Topology::Bus(4), spec, config);
+  cluster.AddKernel(0, FireAndForgetSender(cluster.context(0), 14), "s");
+  const RunResult result = cluster.Run();
+  return {result.cycles, result.link_packets, result.kernel_resumes};
+}
+
+TEST(EngineDifferential, FireAndForgetLinkPacketsAreIdentical) {
+  ExpectAllSchedulersIdentical<std::vector<std::int32_t>>(RunFireAndForget);
+}
+
+// ---------------------------------------------------------------------------
 // Broadcast on the paper's 2x4 torus (Listing 2).
 
 Kernel BcastApp(Context& ctx, int n, int root, std::vector<float>& sink) {

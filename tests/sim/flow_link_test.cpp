@@ -1,18 +1,23 @@
 /// \file flow_link_test.cpp
 /// The lossless serial link under the default cycle-accurate fidelity
 /// policy: delivery order, latency, line rate, backpressure, the exact
-/// credit window and wake contract, and the parallel scheduler's split
-/// halves against the fused step. The flow-mode state machine is covered by
-/// fidelity_test.cpp.
+/// credit window and wake contract. Typed over both serial links: the
+/// parallel scheduler's split halves against the fused step and the
+/// overshoot trim of an unsplit link. The flow-mode state machine is
+/// covered by fidelity_test.cpp.
 
 #include "sim/flow_link.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "fault/fault.h"
 #include "sim/engine.h"
+#include "sim/reliable_link.h"
 
 namespace smi::sim {
 namespace {
@@ -178,16 +183,53 @@ TEST(Link, NextSelfWakeCoversMaturityButNotRxStall) {
   EXPECT_EQ(link.NextSelfWake(7), kNeverCycle);  // pipeline drained
 }
 
+// ---------------------------------------------------------------------------
+// Both serial links over the shared core (sim/serial_link.h): the parallel
+// scheduler's split halves against the fused step, and the final-epoch
+// overshoot trim on a link that is never split.
+
+template <typename L>
+class SerialLinkTest : public ::testing::Test {};
+
+using SerialLinkTypes = ::testing::Types<FlowLink<int>, ReliableLink<int>>;
+TYPED_TEST_SUITE(SerialLinkTest, SerialLinkTypes);
+
+/// The link under test, owned by `engine`; `hook` injects faults into a
+/// reliable link.
+template <typename L>
+L& MakeSerialLink(Engine& engine, Fifo<int>& tx, Fifo<int>& rx,
+                  Cycle latency, LinkFaultHook* hook) {
+  if constexpr (std::is_same_v<L, FlowLink<int>>) {
+    return engine.MakeComponent<L>(engine, "link", tx, rx, latency,
+                                   FidelityPolicy{});
+  } else {
+    ReliableLinkConfig config;
+    config.latency = latency;
+    L& link = engine.MakeComponent<L>("link", tx, rx, config);
+    link.set_fault_hook(hook);
+    return link;
+  }
+}
+
+/// Every link-owned counter, in declaration order.
+std::vector<std::uint64_t> Counters(const obs::ReliabilityCounters& s) {
+  return {s.frames_sent,       s.retransmits,  s.timeouts,
+          s.wire_drops,        s.wire_corruptions,
+          s.checksum_failures, s.seq_discards, s.acks_sent,
+          s.acks_dropped,      s.delivered,    s.recovered};
+}
+
 /// Per-cycle trace of one manually clocked link: cumulative accepts and
-/// deliveries after each cycle, plus the payloads in delivery order.
+/// every link counter after each cycle, plus the payloads in delivery order.
 struct LinkTrace {
   std::vector<std::uint64_t> accepted;
-  std::vector<std::uint64_t> delivered;
+  std::vector<std::vector<std::uint64_t>> counters;
   std::vector<int> sink;
 };
 
 constexpr Cycle kSplitLatency = 8;
 constexpr int kSplitPayloads = 40;
+constexpr Cycle kSplitCycles = 100;  // ends while the drain still delivers
 
 /// The producer pushes whenever TX has room; the consumer pops RX only
 /// every third cycle until cycle 90 — RX stays full and the credit window
@@ -200,75 +242,151 @@ void DriveFifos(Fifo<int>& tx, Fifo<int>& rx, Cycle now, int& next,
   }
 }
 
-LinkTrace RunFused(Cycle cycles) {
+template <typename L>
+LinkTrace RunFused(LinkFaultHook* hook) {
   Engine engine;
   Fifo<int> tx("tx", 16);
   Fifo<int> rx("rx", 2);
-  FlowLink<int> link(engine, "link", tx, rx, kSplitLatency, FidelityPolicy{});
+  L& link = MakeSerialLink<L>(engine, tx, rx, kSplitLatency, hook);
   LinkTrace trace;
   int next = 0;
-  for (Cycle now = 0; now < cycles; ++now) {
+  for (Cycle now = 0; now < kSplitCycles; ++now) {
     DriveFifos(tx, rx, now, next, trace.sink);
-    StepManually(link, tx, rx, now);
+    link.Step(now);
+    tx.Commit(now);
+    rx.Commit(now);
     trace.accepted.push_back(tx.total_pops());
-    trace.delivered.push_back(link.delivered());
+    trace.counters.push_back(Counters(link.stats()));
   }
   return trace;
 }
 
-TEST(Link, SplitHalvesMatchTheFusedStep) {
-  // Ends while the drain phase is still delivering.
-  const Cycle cycles = 100;
-  const LinkTrace fused = RunFused(cycles);
-  // The stall phase must really saturate the window for the check to bite.
-  ASSERT_EQ(fused.accepted[60] - fused.delivered[60],
-            static_cast<std::uint64_t>(kSplitLatency) + 1);
-  for (const Cycle every : {Cycle{1}, Cycle{3}, kSplitLatency}) {
-    SCOPED_TRACE(every);
-    Engine engine;
-    Fifo<int> tx("tx", 16);
-    Fifo<int> rx("rx", 2);
-    FlowLink<int> link(engine, "link", tx, rx, kSplitLatency,
-                       FidelityPolicy{});
-    LinkTrace split;
-    int next = 0;
-    link.BeginSplit();
-    // Barriers every `every` cycles, shortened to the credit slack the
-    // barrier reports, exactly as the parallel scheduler bounds epochs.
-    Cycle last_barrier = 0;
-    Cycle longest_epoch = 0;
-    for (Cycle barrier = 0; barrier < cycles;) {
-      last_barrier = barrier;
-      const Cycle slack = link.ExchangeAtBarrier(barrier);
-      ASSERT_GE(slack, Cycle{1});
-      const Cycle end = std::min(cycles, barrier + std::min(every, slack));
-      longest_epoch = std::max(longest_epoch, end - barrier);
-      for (Cycle now = barrier; now < end; ++now) {
-        DriveFifos(tx, rx, now, next, split.sink);
-        link.StepTx(now);
-        link.StepRx(now);
-        tx.Commit(now);
-        rx.Commit(now);
-        split.accepted.push_back(tx.total_pops());
-        split.delivered.push_back(link.delivered());
-      }
-      barrier = end;
-    }
-    EXPECT_EQ(longest_epoch, every);
-    EXPECT_EQ(split.accepted, fused.accepted);
-    EXPECT_EQ(split.delivered, fused.delivered);
-    EXPECT_EQ(split.sink, fused.sink);
+/// One split run as the parallel scheduler drives it: barriers every
+/// `every` cycles, shortened to the slack each barrier reports. With
+/// `trim_at` set, the overshoot past it is trimmed at the end.
+struct SplitRun {
+  LinkTrace trace;
+  Cycle last_barrier = 0;
+  Cycle longest_epoch = 0;
+  std::vector<std::uint64_t> trimmed;  ///< counters after the trim
+};
 
-    // Overshoot trim inside the final epoch: trimming at c leaves exactly
-    // the deliveries the fused link made before cycle c.
-    ASSERT_GT(last_barrier, Cycle{0});
-    ASSERT_GT(fused.delivered[cycles - 1], fused.delivered[last_barrier - 1])
-        << "the final epoch must deliver something to trim";
-    for (Cycle c = cycles; c >= last_barrier; --c) {
-      link.TrimDeliveriesAtOrAfter(c);
-      EXPECT_EQ(link.delivered(), fused.delivered[c - 1]) << "c=" << c;
+template <typename L>
+SplitRun RunSplit(LinkFaultHook* hook, Cycle every,
+                  Cycle trim_at = kNeverCycle) {
+  Engine engine;
+  Fifo<int> tx("tx", 16);
+  Fifo<int> rx("rx", 2);
+  L& link = MakeSerialLink<L>(engine, tx, rx, kSplitLatency, hook);
+  SplitRun run;
+  int next = 0;
+  link.BeginSplit();
+  link.BeginParallelRun();
+  for (Cycle barrier = 0; barrier < kSplitCycles;) {
+    run.last_barrier = barrier;
+    const Cycle slack = link.ExchangeAtBarrier(barrier);
+    EXPECT_GE(slack, Cycle{1});
+    const Cycle end = std::min(kSplitCycles, barrier + std::min(every, slack));
+    run.longest_epoch = std::max(run.longest_epoch, end - barrier);
+    for (Cycle now = barrier; now < end; ++now) {
+      DriveFifos(tx, rx, now, next, run.trace.sink);
+      link.StepTx(now);
+      link.StepRx(now);
+      tx.Commit(now);
+      rx.Commit(now);
+      run.trace.accepted.push_back(tx.total_pops());
+      run.trace.counters.push_back(Counters(link.stats()));
     }
-    link.EndSplit();
+    barrier = end;
+  }
+  if (trim_at != kNeverCycle) link.TrimDeliveriesAtOrAfter(trim_at);
+  run.trimmed = Counters(link.stats());
+  link.EndSplit();
+  link.EndParallelRun();
+  return run;
+}
+
+TYPED_TEST(SerialLinkTest, SplitHalvesMatchTheFusedStep) {
+  using L = TypeParam;
+  constexpr bool reliable = std::is_same_v<L, ReliableLink<int>>;
+  // The reliable link runs once clean and once with seeded drops and
+  // corruptions, so retransmits and acks cross the barriers.
+  fault::LinkFaultSpec spec;
+  spec.drop_rate = 0.08;
+  spec.corrupt_rate = 0.04;
+  fault::LinkFaultModel faults(spec, 11, "link");
+  std::vector<LinkFaultHook*> hooks = {nullptr};
+  if (reliable) hooks.push_back(&faults);
+  for (LinkFaultHook* hook : hooks) {
+    SCOPED_TRACE(hook != nullptr ? "faulted" : "clean");
+    const LinkTrace fused = RunFused<L>(hook);
+    constexpr std::size_t kDelivered = 9;  // index in Counters()
+    if (!reliable) {
+      // The stall phase must really saturate the window for the check to
+      // bite.
+      ASSERT_EQ(fused.accepted[60] - fused.counters[60][kDelivered],
+                static_cast<std::uint64_t>(kSplitLatency) + 1);
+    } else if (hook != nullptr) {
+      ASSERT_GT(fused.counters.back()[1], 0u) << "no retransmits";
+      ASSERT_GT(fused.counters.back()[3], 0u) << "no wire drops";
+    }
+    for (const Cycle every : {Cycle{1}, Cycle{3}, kSplitLatency}) {
+      SCOPED_TRACE(every);
+      const SplitRun split = RunSplit<L>(hook, every);
+      EXPECT_EQ(split.longest_epoch, every);
+      EXPECT_EQ(split.trace.accepted, fused.accepted);
+      EXPECT_EQ(split.trace.counters, fused.counters);
+      EXPECT_EQ(split.trace.sink, fused.sink);
+
+      // Overshoot trim inside the final epoch: trimming at c leaves
+      // exactly the counters the fused link had before cycle c.
+      const Cycle last = split.last_barrier;
+      ASSERT_GT(last, Cycle{0});
+      ASSERT_NE(fused.counters[kSplitCycles - 1], fused.counters[last - 1])
+          << "the final epoch must count something to trim";
+      for (Cycle c = kSplitCycles; c >= last; --c) {
+        EXPECT_EQ(RunSplit<L>(hook, every, c).trimmed, fused.counters[c - 1])
+            << "c=" << c;
+      }
+    }
+  }
+}
+
+Kernel ProduceThenFinish(Fifo<int>& out, int n) {
+  for (int i = 0; i < n; ++i) co_await fifo_push(out, i);
+}
+
+Kernel Idle(Cycle cycles) { co_await WaitCycles{cycles}; }
+
+TYPED_TEST(SerialLinkTest, UnsplitOvershootIsTrimmedUnderEveryScheduler) {
+  // The producer finishes with payloads still in flight and nobody pops RX.
+  // Both link ends share partition tag 0, so the parallel scheduler never
+  // splits the link; an idle kernel on tag 1 gives it a second partition.
+  // Every delivery after the finish cycle lands in the final epoch's
+  // overshoot and must be trimmed.
+  const auto run = [](SchedulerKind kind, unsigned threads) {
+    EngineConfig config;
+    config.scheduler = kind;
+    config.threads = threads;
+    Engine engine(config);
+    engine.SetPartitionTag(0);
+    Fifo<int>& tx = engine.MakeFifo<int>("tx", 4);
+    Fifo<int>& rx = engine.MakeFifo<int>("rx", 64);
+    TypeParam& link = MakeSerialLink<TypeParam>(engine, tx, rx, 10, nullptr);
+    engine.MarkCutComponent(link, link, 0, 0);
+    engine.AddKernel(ProduceThenFinish(tx, 20), "p");
+    engine.SetPartitionTag(1);
+    engine.AddKernel(Idle(3), "idle");
+    const RunStats stats = engine.Run();
+    return std::pair{stats.cycles, link.delivered()};
+  };
+  const auto sync = run(SchedulerKind::kSynchronous, 1);
+  ASSERT_GT(sync.second, 0u);
+  ASSERT_LT(sync.second, 20u) << "payloads must still be in flight";
+  EXPECT_EQ(run(SchedulerKind::kEventDriven, 1), sync);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(run(SchedulerKind::kParallel, threads), sync)
+        << "threads=" << threads;
   }
 }
 
