@@ -128,6 +128,40 @@ BENCHMARK(BM_IdleHeavyStencil)
     ->ArgName("scheduler")
     ->Unit(benchmark::kMillisecond);
 
+// Bisection streams on a small oversubscribed fat-tree (16 hosts, 4 leaves,
+// 2 spines): each host of the first half streams to the host half the
+// fabric away, so the many-input switch CKs arbitrate under congestion and
+// mostly poll empty connections. One row per scheduler, numbered as for
+// IdleHeavyStencil.
+void BM_SwitchBisection(benchmark::State& state) {
+  const sim::SchedulerKind kind =
+      state.range(0) == 0   ? sim::SchedulerKind::kSynchronous
+      : state.range(0) == 1 ? sim::SchedulerKind::kEventDriven
+                            : sim::SchedulerKind::kParallel;
+  const net::Topology topo = net::Topology::FatTree(4, 4, 2);
+  const int hosts = topo.num_compute_ranks();
+  std::vector<std::pair<int, int>> pairs;
+  for (int h = 0; h < hosts / 2; ++h) pairs.emplace_back(h, h + hosts / 2);
+  core::ClusterConfig config;
+  config.engine.scheduler = kind;
+  if (kind == sim::SchedulerKind::kParallel) config.engine.threads = 0;
+  std::uint64_t total_cycles = 0;
+  for (auto _ : state) {
+    const core::RunResult r =
+        bench::Stream(topo, pairs, bench::PacketsFor(4 * 1024), config).run;
+    total_cycles += r.cycles;
+    benchmark::DoNotOptimize(r.cycles);
+  }
+  state.counters["sim_cycles_per_s"] = benchmark::Counter(
+      static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SwitchBisection)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("scheduler")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RouteGeneration(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const net::Topology topo =

@@ -16,6 +16,7 @@ Topology::Topology(int num_ranks, int ports_per_rank)
   peer_.resize(static_cast<std::size_t>(num_ranks) *
                static_cast<std::size_t>(ports_per_rank));
   switch_.assign(static_cast<std::size_t>(num_ranks), false);
+  adj_.resize(static_cast<std::size_t>(num_ranks));
 }
 
 void Topology::MarkSwitch(int rank) {
@@ -69,6 +70,16 @@ void Topology::Connect(PortId a, PortId b) {
   }
   peer_[static_cast<std::size_t>(ia)] = b;
   peer_[static_cast<std::size_t>(ib)] = a;
+  // Keep each rank's neighbour list in port order.
+  const auto link = [this](PortId from, PortId to) {
+    auto& nbrs = adj_[static_cast<std::size_t>(from.rank)];
+    const auto at = std::find_if(
+        nbrs.begin(), nbrs.end(),
+        [&](const std::pair<int, int>& e) { return e.second > from.port; });
+    nbrs.insert(at, {to.rank, from.port});
+  };
+  link(a, b);
+  link(b, a);
 }
 
 std::optional<PortId> Topology::Peer(PortId p) const {
@@ -87,13 +98,11 @@ std::vector<std::pair<PortId, PortId>> Topology::Connections() const {
   return out;
 }
 
-std::vector<std::pair<int, int>> Topology::Neighbors(int rank) const {
-  std::vector<std::pair<int, int>> out;
-  for (int q = 0; q < ports_per_rank_; ++q) {
-    const std::optional<PortId> b = Peer(PortId{rank, q});
-    if (b) out.emplace_back(b->rank, q);
+const std::vector<std::pair<int, int>>& Topology::Neighbors(int rank) const {
+  if (rank < 0 || rank >= num_ranks_) {
+    throw ConfigError("rank out of range: " + std::to_string(rank));
   }
-  return out;
+  return adj_[static_cast<std::size_t>(rank)];
 }
 
 bool Topology::IsConnected() const {

@@ -62,8 +62,9 @@ class Topology {
   std::vector<std::pair<PortId, PortId>> Connections() const;
 
   /// Neighbouring ranks of `rank` with the local out-port used to reach
-  /// them; a neighbour appears once per connecting cable.
-  std::vector<std::pair<int, int>> Neighbors(int rank) const;  // (nbr, port)
+  /// them, in ascending port order; a neighbour appears once per connecting
+  /// cable. The list is kept up to date by Connect.
+  const std::vector<std::pair<int, int>>& Neighbors(int rank) const;
 
   /// True if the connection graph is connected (ignoring isolated ranks is
   /// NOT allowed: every rank must be reachable from rank 0).
@@ -129,6 +130,7 @@ class Topology {
   int ports_per_rank_;
   int num_switch_ranks_ = 0;
   std::vector<std::optional<PortId>> peer_;  // indexed rank*P+port
+  std::vector<std::vector<std::pair<int, int>>> adj_;  // (nbr, port) by rank
   std::vector<bool> switch_;                 // indexed by rank
 };
 

@@ -25,6 +25,14 @@
 ///     component could act without any new FIFO activity (e.g. a link
 ///     pipeline slot maturing), or kNeverCycle if there is none.
 /// Extra wakeups are always safe; a missed wakeup breaks cycle accuracy.
+///
+/// A component whose action depends on *how much* its inputs hold, not on
+/// every transfer, may instead declare them through DeclareInputFifos: FIFOs
+/// that this component alone pops. Its own pops then wake nothing; a commit
+/// that carried a push re-asks NextSelfWake, which must then cover every
+/// cycle the inputs' current contents could enable an action at. The
+/// communication kernels use this to sleep until their polling pointer
+/// reaches an input holding data (see transport/arbiter.h).
 
 #include <string>
 #include <vector>
@@ -57,10 +65,20 @@ class Component {
   /// means "step me every cycle").
   virtual void DeclareWakeFifos(std::vector<const FifoBase*>& /*out*/) const {}
 
+  /// Append the FIFOs that this component alone pops and whose pushes must
+  /// re-ask NextSelfWake (see the file comment). Called by the engine when a
+  /// run starts; the set must stay valid for the whole run. Default: none.
+  virtual void DeclareInputFifos(std::vector<const FifoBase*>& /*out*/) const {
+  }
+
   /// Earliest future cycle (> now) at which this component could act even
   /// without new activity on its declared FIFOs, or kNeverCycle if FIFO
   /// activity is the only thing that can enable it. Called right after each
-  /// Step, once that cycle's FIFO commits are visible.
+  /// Step, once that cycle's FIFO commits are visible. A component with
+  /// input FIFOs is also asked between steps, during the commits of a cycle
+  /// that pushed into one of them, so the answer may depend only on the
+  /// component's own state and on FIFO occupancy (which counts staged
+  /// transfers, hence is the same before and after the commits).
   virtual Cycle NextSelfWake(Cycle now) const { return now + 1; }
 
   /// Called once per component when the engine starts collecting telemetry;

@@ -392,19 +392,40 @@ void Engine::PreparePartition(Partition& p) {
   p.error_cycle = kNeverCycle;
   p.dirty.clear();
   const Cycle now = *p.clock;
+  // The record of a FIFO that component `i` declared, or null for a FIFO
+  // this engine does not schedule.
+  const auto declared = [&](std::size_t i, const FifoBase* fifo,
+                            const char* what) -> FifoRec* {
+    if (fifo == nullptr || fifo->sched_owner() != this) return nullptr;
+    if (fifo_part_[fifo->sched_index()] != p.index) {
+      throw ConfigError("component " + components_[i]->name() + " declares " +
+                        what + " FIFO " + fifo->name() +
+                        " owned by another partition; only cut links may "
+                        "cross partitions");
+    }
+    return &fifo_recs_[fifo->sched_index()];
+  };
   for (const std::size_t i : p.components) {
     comp_recs_[i] = ComponentRec{};
     p.watch_scratch.clear();
     components_[i]->DeclareWakeFifos(p.watch_scratch);
     for (const FifoBase* fifo : p.watch_scratch) {
-      if (fifo == nullptr || fifo->sched_owner() != this) continue;
-      if (fifo_part_[fifo->sched_index()] != p.index) {
-        throw ConfigError("component " + components_[i]->name() +
-                          " declares wake FIFO " + fifo->name() +
-                          " owned by another partition; only cut links may "
-                          "cross partitions");
+      if (FifoRec* rec = declared(i, fifo, "wake")) {
+        rec->component_subs.push_back(i);
       }
-      fifo_recs_[fifo->sched_index()].component_subs.push_back(i);
+    }
+    p.watch_scratch.clear();
+    components_[i]->DeclareInputFifos(p.watch_scratch);
+    for (const FifoBase* fifo : p.watch_scratch) {
+      FifoRec* rec = declared(i, fifo, "input");
+      if (rec == nullptr) continue;
+      if (rec->input_sub != kNoInputSub && rec->input_sub != i) {
+        throw ConfigError("component " + components_[i]->name() +
+                          " declares input FIFO " + fifo->name() +
+                          ", already the input of " +
+                          components_[rec->input_sub]->name());
+      }
+      rec->input_sub = i;
     }
     ScheduleComponent(p, i, now);
   }
@@ -521,11 +542,18 @@ bool Engine::StepCycleEvent(Partition& p) {
 
   // Phase 3: commit the FIFOs touched this cycle; a committed transfer wakes
   // subscribed components and watching kernels for the next cycle (which is
-  // exactly when the transfer becomes visible to them).
+  // exactly when the transfer becomes visible to them). A push re-asks the
+  // input subscribers when they next need a step; their own pops never do.
   for (FifoBase* fifo : p.dirty) {
+    const bool pushed = fifo->push_staged();
     if (!fifo->Commit(now)) continue;
     progress = true;
     const FifoRec& rec = fifo_recs_[fifo->sched_index()];
+    if (pushed && rec.input_sub != kNoInputSub &&
+        comp_recs_[rec.input_sub].next_wake != now + 1) {
+      ScheduleComponent(p, rec.input_sub,
+                        components_[rec.input_sub]->NextSelfWake(now));
+    }
     for (const std::size_t sub : rec.component_subs) {
       // Flow-mode links opt out of FIFO-commit wakes: they run on timed
       // modeled wakes instead (their NextSelfWake stays finite meanwhile).
@@ -540,8 +568,10 @@ bool Engine::StepCycleEvent(Partition& p) {
   }
   p.dirty.clear();
 
-  // Phase 4: timed self-wakes, asked after the commits are visible.
+  // Phase 4: timed self-wakes, asked after the commits are visible. A
+  // component already due next cycle cannot be scheduled any earlier.
   for (const std::size_t index : p.due_components) {
+    if (comp_recs_[index].next_wake == now + 1) continue;
     ScheduleComponent(p, index, components_[index]->NextSelfWake(now));
   }
 

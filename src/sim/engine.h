@@ -30,9 +30,12 @@
 ///       cycle, so the commit phase only touches FIFOs with staged work;
 ///     - components are woken when a FIFO they declared through
 ///       `Component::DeclareWakeFifos` commits a transfer, or at the cycle
-///       they requested through `Component::NextSelfWake` (the polling
-///       arbiter inside CKS/CKR uses this to model its R-polling cost
-///       faithfully even across idle gaps);
+///       they requested through `Component::NextSelfWake`;
+///     - a commit that carried a push into a FIFO declared through
+///       `Component::DeclareInputFifos` re-asks the subscriber's
+///       `NextSelfWake` (unless it is already due next cycle). CKS/CKR use
+///       this to sleep until their R-polling pointer reaches an input
+///       holding data; the arbiter replays the skipped empty polls;
 ///     - parked kernels are re-polled when a FIFO reported by their
 ///       blocker's `Blocker::WatchFifos` commits a transfer, or at the
 ///       blocker's `NextPollCycle` (timed waits sleep until their deadline);
@@ -329,7 +332,11 @@ class Engine {
   struct FifoRec {
     std::vector<std::size_t> component_subs;   ///< components to wake
     std::vector<std::size_t> kernel_watchers;  ///< parked kernels to re-poll
+    /// The component that declared this FIFO an input (its sole popper),
+    /// re-asked on a push commit; kNoInputSub if none.
+    std::size_t input_sub = kNoInputSub;
   };
+  static constexpr std::size_t kNoInputSub = static_cast<std::size_t>(-1);
   /// Min-heap of (cycle, entity index) with lazy deletion: an entry is live
   /// iff it matches the entity's currently scheduled cycle.
   using WakeHeap =

@@ -42,10 +42,12 @@ class PollingArbiter {
   /// output was full (the arbiter then retries the same connection next
   /// cycle, since hardware cannot drop the packet it has already latched).
   ///
-  /// Skipped cycles (the event-driven engine only steps a CK when an input
-  /// can have data) are replayed as empty polls, so the connection pointer
-  /// lands exactly where per-cycle polling would have left it — this keeps
-  /// the R-polling cost model bit-identical under both schedulers.
+  /// Cycles since the previous Select are replayed as empty polls: cycles
+  /// the event-driven engine skipped (see PollsUntilData) and cycles in
+  /// which the CK stepped without polling (draining its fan-out or recovery
+  /// queue). The connection pointer lands exactly where per-cycle stepping
+  /// would have left it, so the R-polling cost model is bit-identical under
+  /// every scheduler.
   PacketFifo* Select(sim::Cycle now) {
     if (inputs_.empty()) return nullptr;
     if (polled_ && now > last_poll_ + 1) {
@@ -76,16 +78,41 @@ class PollingArbiter {
              inputs_.size();
   }
 
-  /// True if any input holds a committed or staged packet. Called after the
-  /// cycle's commits, this is exactly "some input is poppable next cycle".
-  bool AnyInputHasData() const {
-    for (const PacketFifo* in : inputs_) {
-      if (in->occupancy() > 0) return true;
+  /// Number of cycles after `now + 1` before the pointer examines an input
+  /// that holds data (`occupancy() > 0`), or kNeverCycle if no input holds
+  /// any. Called after cycle `now`'s Step: with no new push, a Select at
+  /// any earlier cycle is an empty poll, i.e. exactly what Select replays.
+  ///
+  /// The pointer keeps moving between Selects: the next Select replays the
+  /// cycles since `last_poll_`, so at cycle w > last_poll_ it examines
+  /// `index_ + (w - last_poll_ - 1)`. Before the first Select there is no
+  /// replay (the first Select examines `index_` whenever it comes), so an
+  /// arbiter that never polled must step as soon as any input holds data.
+  sim::Cycle PollsUntilData(sim::Cycle now) const {
+    const std::size_t n = inputs_.size();
+    if (n == 0) return sim::kNeverCycle;
+    if (!polled_) {
+      for (const PacketFifo* in : inputs_) {
+        if (in->occupancy() > 0) return 0;
+      }
+      return sim::kNeverCycle;
     }
-    return false;
+    // Pointer at cycle now + 1. The common case (polled this cycle) needs
+    // no modulo; a lag shorter than one rotation needs no division either.
+    std::size_t at = index_;
+    if (now > last_poll_) {
+      const sim::Cycle lag = now - last_poll_;
+      at += static_cast<std::size_t>(lag < n ? lag : lag % n);
+      if (at >= n) at -= n;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if (inputs_[at]->occupancy() > 0) return k;
+      if (++at == n) at = 0;
+    }
+    return sim::kNeverCycle;
   }
 
-  /// Append all inputs to `out` (for Component::DeclareWakeFifos).
+  /// Append all inputs to `out` (for Component::DeclareInputFifos).
   void AppendInputs(std::vector<const sim::FifoBase*>& out) const {
     for (const PacketFifo* in : inputs_) out.push_back(in);
   }

@@ -72,15 +72,16 @@ class Ckr final : public sim::Component {
   /// stalls, handler activity) and shares it with the arbiter.
   void AttachObservability(obs::Recorder& recorder) override;
 
-  /// Event-driven wake contract: identical to Cks, plus a self-wake while
-  /// fan-out copies wait to be injected.
-  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
+  /// Event-driven wake contract: as for Cks, except that the queue keeping
+  /// it due every cycle is the fan-out queue (a CKR has no recovery queue).
+  void DeclareInputFifos(
+      std::vector<const sim::FifoBase*>& out) const override {
     arbiter_.AppendInputs(out);
   }
   sim::Cycle NextSelfWake(sim::Cycle now) const override {
-    return (!fan_queue_.empty() || arbiter_.AnyInputHasData())
-               ? now + 1
-               : sim::kNeverCycle;
+    if (!fan_queue_.empty()) return now + 1;
+    const sim::Cycle polls = arbiter_.PollsUntilData(now);
+    return polls == sim::kNeverCycle ? sim::kNeverCycle : now + 1 + polls;
   }
 
   std::uint64_t forwarded() const { return forwarded_; }

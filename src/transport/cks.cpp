@@ -43,6 +43,7 @@ PacketFifo* Cks::Route(const net::Packet& pkt) const {
 }
 
 bool Cks::FlushExpired(sim::Cycle now) {
+  if (combine_held_ == 0) return false;
   for (CombineSlot& slot : combine_) {
     if (!slot.busy || slot.deadline > now) continue;
     // Route with the *current* table — a failover may have rerouted the
@@ -54,6 +55,7 @@ bool Cks::FlushExpired(sim::Cycle now) {
     if (out->CanPush(now)) {
       out->Push(slot.pkt, now);
       slot.busy = false;
+      --combine_held_;
       ++forwarded_;
       if (obs_ != nullptr) {
         obs_->OnForward(static_cast<int>(slot.pkt.hdr.op), now);
@@ -98,13 +100,12 @@ void Cks::Step(sim::Cycle now) {
     }
   };
 
-  // Packets arriving over the intra-rank crossbar were already filtered at
-  // the CKS where they entered the rank (see AddInput).
-  const bool from_crossbar =
-      std::find(xbar_inputs_.begin(), xbar_inputs_.end(), in) !=
-      xbar_inputs_.end();
-
   if (!handlers_.empty()) {
+    // Packets arriving over the intra-rank crossbar were already filtered
+    // at the CKS where they entered the rank (see AddInput).
+    const bool from_crossbar =
+        std::find(xbar_inputs_.begin(), xbar_inputs_.end(), in) !=
+        xbar_inputs_.end();
     // Count/filter: drop-or-pass predicate with counted side channel.
     const std::size_t n = handlers_.size();
     for (std::size_t i = 0; !from_crossbar && i < n; ++i) {
@@ -169,6 +170,7 @@ void Cks::Step(sim::Cycle now) {
           if (!pushed && to_net_->CanPush(now)) {
             to_net_->Push(slot.pkt, now);
             slot.busy = false;
+            --combine_held_;
             ++forwarded_;
             if (obs_ != nullptr) {
               obs_->OnForward(static_cast<int>(slot.pkt.hdr.op), now);
@@ -184,6 +186,7 @@ void Cks::Step(sim::Cycle now) {
         free_slot->pkt = in->Pop(now);
         consume_filter();
         free_slot->busy = true;
+        ++combine_held_;
         free_slot->deadline = now + static_cast<sim::Cycle>(
                                         combine->hold_cycles);
         arbiter_.Serviced(now);

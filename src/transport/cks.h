@@ -105,16 +105,20 @@ class Cks final : public sim::Component {
   /// stalls, handler activity) and shares it with the arbiter.
   void AttachObservability(obs::Recorder& recorder) override;
 
-  /// Event-driven wake contract: a CK can only act when one of its inputs
-  /// holds a packet — or when a held combine-buffer packet's hold window
-  /// expires, which is a timed self-wake.
-  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
+  /// Event-driven wake contract: the arbiter inputs are input FIFOs (a
+  /// push re-asks NextSelfWake). A CK is due when the polling pointer
+  /// reaches an input holding data, when a held combine-buffer packet's
+  /// hold window expires, and every cycle while recovered packets wait.
+  void DeclareInputFifos(
+      std::vector<const sim::FifoBase*>& out) const override {
     arbiter_.AppendInputs(out);
   }
   sim::Cycle NextSelfWake(sim::Cycle now) const override {
-    sim::Cycle wake = (!recovery_.empty() || arbiter_.AnyInputHasData())
-                          ? now + 1
-                          : sim::kNeverCycle;
+    if (!recovery_.empty()) return now + 1;
+    const sim::Cycle polls = arbiter_.PollsUntilData(now);
+    sim::Cycle wake = polls == sim::kNeverCycle ? sim::kNeverCycle
+                                                : now + 1 + polls;
+    if (combine_held_ == 0 || wake == now + 1) return wake;
     for (const CombineSlot& slot : combine_) {
       if (!slot.busy) continue;
       const sim::Cycle due =
@@ -131,11 +135,7 @@ class Cks final : public sim::Component {
   std::uint64_t filter_dropped() const { return filter_dropped_; }
   std::uint64_t filter_passed() const { return filter_passed_; }
   /// Packets currently held in the combine buffer.
-  std::size_t combine_held() const {
-    std::size_t held = 0;
-    for (const CombineSlot& slot : combine_) held += slot.busy ? 1 : 0;
-    return held;
-  }
+  std::size_t combine_held() const { return combine_held_; }
   int port_index() const { return port_index_; }
   /// Whether this CKS's network interface is cabled (used to validate
   /// uploaded routing tables against the actual wiring).
@@ -165,6 +165,7 @@ class Cks final : public sim::Component {
   std::deque<net::Packet> recovery_;  ///< failover re-queue (see above)
   HandlerTable handlers_;
   CombineSlot combine_[kCombineSlots];
+  std::size_t combine_held_ = 0;  ///< busy slots in combine_
   std::vector<std::uint64_t> filter_seen_;  ///< per-entry match phase
   std::uint64_t forwarded_ = 0;
   std::uint64_t handler_combined_ = 0;

@@ -33,6 +33,25 @@ TEST(Topology, RejectsInvalidWiring) {
   EXPECT_THROW(Topology(1, 0), ConfigError);
 }
 
+TEST(Topology, NeighborsFollowPortOrderWhateverTheCablingOrder) {
+  Topology t(4, 4);
+  t.Connect(PortId{0, 3}, PortId{1, 0});
+  t.Connect(PortId{0, 0}, PortId{2, 2});
+  t.Connect(PortId{3, 1}, PortId{0, 2});
+  const std::vector<std::pair<int, int>> expected = {{2, 0}, {3, 2}, {1, 3}};
+  EXPECT_EQ(t.Neighbors(0), expected);
+  // Same list as scanning the ports for peers.
+  for (int r = 0; r < t.num_ranks(); ++r) {
+    std::vector<std::pair<int, int>> scanned;
+    for (int q = 0; q < t.ports_per_rank(); ++q) {
+      if (const auto b = t.Peer(PortId{r, q})) scanned.emplace_back(b->rank, q);
+    }
+    EXPECT_EQ(t.Neighbors(r), scanned) << "rank " << r;
+  }
+  EXPECT_THROW(t.Neighbors(4), ConfigError);
+  EXPECT_THROW(t.Neighbors(-1), ConfigError);
+}
+
 TEST(Topology, BusShape) {
   const Topology t = Topology::Bus(8);
   EXPECT_EQ(t.num_ranks(), 8);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,14 +89,15 @@ ClusterObservation ExpectAllSchedulersIdentical(Scenario&& scenario) {
 // ---------------------------------------------------------------------------
 // Point-to-point stream (Listing 1 of the paper).
 
-Kernel P2pSender(Context& ctx, int n) {
-  SendChannel ch = ctx.OpenSendChannel(n, DataType::kInt, /*destination=*/1,
+Kernel P2pSender(Context& ctx, int n, int destination = 1) {
+  SendChannel ch = ctx.OpenSendChannel(n, DataType::kInt, destination,
                                        /*port=*/0, ctx.world());
   for (int i = 0; i < n; ++i) co_await ch.Push<std::int32_t>(i * 3);
 }
 
-Kernel P2pReceiver(Context& ctx, int n, std::vector<std::int32_t>& sink) {
-  RecvChannel ch = ctx.OpenRecvChannel(n, DataType::kInt, /*source=*/0,
+Kernel P2pReceiver(Context& ctx, int n, std::vector<std::int32_t>& sink,
+                   int source = 0) {
+  RecvChannel ch = ctx.OpenRecvChannel(n, DataType::kInt, source,
                                        /*port=*/0, ctx.world());
   for (int i = 0; i < n; ++i) sink.push_back(co_await ch.Pop<std::int32_t>());
 }
@@ -262,6 +264,68 @@ ClusterObservation RunStencil(const ClusterConfig& config,
 
 TEST(EngineDifferential, StencilHaloExchangeIsCycleIdentical) {
   ExpectAllSchedulersIdentical<std::vector<float>>(RunStencil);
+}
+
+// ---------------------------------------------------------------------------
+// Switch bisection: a FatTree(4, 4, 2) whose 16 hosts all stream across the
+// bisection through two spines (2:1 oversubscribed). Spine CKs poll up to
+// five inputs, leaf CKs six, with data arriving on one connection at a time
+// and outputs backing up, so poll-skipping, bursts and stall retries all
+// cross the differential. The payload carries every CK counter.
+
+struct SwitchPayload {
+  std::vector<std::vector<std::int32_t>> received;
+  std::string cks;  ///< the telemetry document's "cks" array
+
+  friend bool operator==(const SwitchPayload&,
+                         const SwitchPayload&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const SwitchPayload& p) {
+    return os << p.cks;
+  }
+};
+
+ClusterObservation RunSwitchBisection(const ClusterConfig& base,
+                                      SwitchPayload& payload) {
+  const Topology topo = Topology::FatTree(4, 4, 2);
+  const int hosts = topo.num_compute_ranks();
+  ProgramSpec spec;
+  spec.Add(OpSpec::Send(0, DataType::kInt));
+  spec.Add(OpSpec::Recv(0, DataType::kInt));
+  ClusterConfig config = base;
+  config.engine.collect_counters = true;
+  Cluster cluster(topo, spec, config);
+  payload.received.assign(static_cast<std::size_t>(hosts), {});
+  for (int h = 0; h < hosts; ++h) {
+    const int peer = (h + hosts / 2) % hosts;
+    cluster.AddKernel(h, P2pSender(cluster.context(h), 120, peer), "s");
+    cluster.AddKernel(
+        h, P2pReceiver(cluster.context(h), 120,
+                       payload.received[static_cast<std::size_t>(h)], peer),
+        "r");
+  }
+  const RunResult result = cluster.Run();
+  payload.cks = cluster.CaptureTelemetry().counters.at("cks").dump();
+  return {result.cycles, result.link_packets, result.kernel_resumes};
+}
+
+TEST(EngineDifferential, SwitchBisectionCkCountersAreIdentical) {
+  SwitchPayload probe;
+  RunSwitchBisection(WithScheduler(SchedulerKind::kSynchronous), probe);
+  ASSERT_EQ(probe.received[0].size(), 120u);
+  // The scenario must reach the paths under test: empty polls, bursts and
+  // stall retries on the switch CKs.
+  std::uint64_t polls = 0, hits = 0, bursts = 0, stalls = 0;
+  const json::Value cks = json::Parse(probe.cks);
+  for (const json::Value& ck : cks.as_array()) {
+    polls += static_cast<std::uint64_t>(ck.at("polls").as_int());
+    hits += static_cast<std::uint64_t>(ck.at("hits").as_int());
+    bursts += static_cast<std::uint64_t>(ck.at("bursts").as_int());
+    stalls += static_cast<std::uint64_t>(ck.at("stalls").as_int());
+  }
+  EXPECT_GT(polls, hits);
+  EXPECT_GT(bursts, 0u);
+  EXPECT_GT(stalls, 0u);
+  ExpectAllSchedulersIdentical<SwitchPayload>(RunSwitchBisection);
 }
 
 // ---------------------------------------------------------------------------
