@@ -162,6 +162,62 @@ BENCHMARK(BM_SwitchBisection)
     ->ArgName("scheduler")
     ->Unit(benchmark::kMillisecond);
 
+// Slow consumers on the same fat-tree: hosts 0-7 stream to hosts 8-15,
+// whose receivers pop only every fourth cycle. The endpoint FIFOs fill and
+// the backpressure reaches back through the switches, so most CK cycles are
+// stalled retries of a packet whose output is full — under the event-driven
+// schedulers those CKs sleep until the output has room. One row per
+// scheduler, numbered as for IdleHeavyStencil.
+sim::Kernel StreamTo(core::Context& ctx, int n, int peer) {
+  core::SendChannel ch = ctx.OpenSendChannel(n, core::DataType::kInt, peer,
+                                             /*port=*/0, ctx.world());
+  for (int i = 0; i < n; ++i) co_await ch.Push<std::int32_t>(i);
+}
+
+sim::Kernel SlowConsumer(core::Context& ctx, int n, int peer,
+                         std::uint64_t& sink) {
+  core::RecvChannel ch = ctx.OpenRecvChannel(n, core::DataType::kInt, peer,
+                                             /*port=*/0, ctx.world());
+  for (int i = 0; i < n; ++i) {
+    sink += static_cast<std::uint64_t>(co_await ch.Pop<std::int32_t>());
+    co_await sim::WaitCycles{3};
+  }
+}
+
+void BM_SlowConsumer(benchmark::State& state) {
+  const sim::SchedulerKind kind =
+      state.range(0) == 0   ? sim::SchedulerKind::kSynchronous
+      : state.range(0) == 1 ? sim::SchedulerKind::kEventDriven
+                            : sim::SchedulerKind::kParallel;
+  const net::Topology topo = net::Topology::FatTree(4, 4, 2);
+  const int half = topo.num_compute_ranks() / 2;
+  std::uint64_t total_cycles = 0;
+  for (auto _ : state) {
+    core::ClusterConfig config;
+    config.engine.scheduler = kind;
+    if (kind == sim::SchedulerKind::kParallel) config.engine.threads = 0;
+    core::Cluster cluster(topo, bench::P2pSpec(), config);
+    std::vector<std::uint64_t> sinks(static_cast<std::size_t>(half));
+    for (int h = 0; h < half; ++h) {
+      cluster.AddKernel(h, StreamTo(cluster.context(h), 700, h + half), "s");
+      cluster.AddKernel(h + half,
+                        SlowConsumer(cluster.context(h + half), 700, h,
+                                     sinks[static_cast<std::size_t>(h)]),
+                        "r");
+    }
+    total_cycles += cluster.Run().cycles;
+    benchmark::DoNotOptimize(sinks.data());
+  }
+  state.counters["sim_cycles_per_s"] = benchmark::Counter(
+      static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SlowConsumer)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("scheduler")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RouteGeneration(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const net::Topology topo =

@@ -172,7 +172,8 @@ struct FifoCounters {
 /// covers all cycles up to `now` (the arbiter replays idle gaps), so the
 /// poll count over [polls_from_, now + 1) is added in bulk and the tail up
 /// to the finish cycle is flushed at Finalize — exactly the per-cycle polls
-/// the synchronous scheduler performs.
+/// the synchronous scheduler performs. Stalled retries the engine slept
+/// through are added the same way, as spans of hits and stalls.
 struct CkCounters {
   std::string name;
   std::uint64_t forwarded_by_op[3] = {0, 0, 0};  ///< kData, kSync, kCredit
@@ -220,20 +221,43 @@ struct CkCounters {
     ++bursts;
     journal.Add(&bursts, now, 1);
   }
+  /// A stall at `now`: the CK holds its latched packet, and until EndStall
+  /// every cycle is a retry of it (a hit and a stall).
   void OnStall(Cycle now) {
     ++stalls;
     journal.Add(&stalls, now, 1);
+    retry_from_ = now + 1;
+    retrying_ = true;
+  }
+  /// The retries end at `to`: count those in [retry_from_, to) that the
+  /// event-driven engine slept through instead of stepping.
+  void EndStall(Cycle to) {
+    CountRetriesTo(to);
+    retrying_ = false;
   }
   void Finalize(Cycle total) {
     // An idle CK is still polled every cycle by the synchronous scheduler;
     // flush the trailing idle gap (no-op if the arbiter never polled, i.e.
-    // it has no inputs and never examines anything).
+    // it has no inputs and never examines anything). Likewise a stalled CK
+    // retries every cycle up to the end.
     if (polled_) CountPollsTo(total);
+    CountRetriesTo(total);
   }
 
  private:
+  void CountRetriesTo(Cycle to) {
+    if (!retrying_ || to <= retry_from_) return;
+    hits += to - retry_from_;
+    journal.Span(&hits, retry_from_, to);
+    stalls += to - retry_from_;
+    journal.Span(&stalls, retry_from_, to);
+    retry_from_ = to;
+  }
+
   Cycle polls_from_ = 0;
   bool polled_ = false;
+  Cycle retry_from_ = 0;
+  bool retrying_ = false;
 };
 
 /// Per-link fidelity-mode counters (see sim/fidelity.h). Owned by the

@@ -10,30 +10,42 @@
 ///
 /// Under the event-driven scheduler (see engine.h) a component is only
 /// stepped on cycles where it can possibly act. It opts into that by
-/// declaring its input FIFOs (DeclareWakeFifos) and reporting when it next
-/// needs a timed wakeup (NextSelfWake). The defaults — no declared FIFOs and
-/// a self-wake every cycle — make unmodified components behave exactly as
-/// under the synchronous scheduler: they are stepped every cycle.
+/// declaring the FIFOs it touches in one of two roles and by reporting when
+/// it next needs a step (NextSelfWake):
+///   * an *input* is a FIFO that only this component pops. A committed push
+///     into it calls InputPushed with the input's slot (its index in
+///     FifoRoles::inputs); the returned cycle is min-ed with the current
+///     wake;
+///   * an *output* is a FIFO that only this component pushes. A committed
+///     pop from it calls OutputPopped (unless the component is due next
+///     cycle anyway), which defaults to re-asking NextSelfWake.
+/// The component's own pops and pushes wake nothing: after every Step the
+/// engine asks NextSelfWake, which must cover what the step left behind.
+/// The defaults — no declared FIFOs and a self-wake every cycle — make
+/// unmodified components behave exactly as under the synchronous scheduler:
+/// they are stepped every cycle.
 ///
 /// Contract for opting in: on any cycle where the component is *not*
 /// stepped, its Step must have been a no-op (no FIFO operation, no state
-/// change). That holds whenever
-///   * every FIFO whose state can enable an action is declared via
-///     DeclareWakeFifos (a commit with activity on one of them wakes the
-///     component on the following cycle), and
-///   * NextSelfWake returns the earliest future cycle at which the
-///     component could act without any new FIFO activity (e.g. a link
-///     pipeline slot maturing), or kNeverCycle if there is none.
+/// change). That holds whenever the union of the answers covers every
+/// cycle at which the component could act: NextSelfWake (asked after each
+/// Step) for what its own state and its FIFOs' current contents allow, and
+/// the two notifications for what another component's push or pop enables.
 /// Extra wakeups are always safe; a missed wakeup breaks cycle accuracy.
 ///
-/// A component whose action depends on *how much* its inputs hold, not on
-/// every transfer, may instead declare them through DeclareInputFifos: FIFOs
-/// that this component alone pops. Its own pops then wake nothing; a commit
-/// that carried a push re-asks NextSelfWake, which must then cover every
-/// cycle the inputs' current contents could enable an action at. The
-/// communication kernels use this to sleep until their polling pointer
-/// reaches an input holding data (see transport/arbiter.h).
+/// Notifications arrive during the commits of the cycle that carried the
+/// transfer, possibly before the component's other FIFOs have committed.
+/// Answers may therefore depend only on the component's own state and on
+/// FIFO occupancy (which counts staged transfers, hence is the same before
+/// and after the commits) — a stale partial view is harmless, since each
+/// later commit notifies again and the engine keeps the earliest answer.
+///
+/// The communication kernels use inputs to sleep until their polling
+/// pointer reaches an input holding data, and outputs to sleep while the
+/// output their latched packet needs is full (see transport/arbiter.h).
+/// Links declare their TX FIFO an input and their RX FIFO an output.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -47,6 +59,13 @@ namespace smi::sim {
 
 class FifoBase;
 
+/// A component's FIFOs by role (see the file comment). A FIFO is the input
+/// of at most one component and the output of at most one component.
+struct FifoRoles {
+  std::vector<const FifoBase*> inputs;   ///< popped only by this component
+  std::vector<const FifoBase*> outputs;  ///< pushed only by this component
+};
+
 class Component {
  public:
   explicit Component(std::string name) : name_(std::move(name)) {}
@@ -59,26 +78,32 @@ class Component {
   /// Advance one clock cycle.
   virtual void Step(Cycle now) = 0;
 
-  /// Append the FIFOs whose committed activity must wake this component.
-  /// Called by the engine when a run starts; the set must stay valid for the
-  /// whole run. Default: none (combined with the NextSelfWake default this
-  /// means "step me every cycle").
-  virtual void DeclareWakeFifos(std::vector<const FifoBase*>& /*out*/) const {}
+  /// Declare this component's FIFO roles (see the file comment). Called by
+  /// the event-driven engine when a run starts, before anything steps; the
+  /// roles must stay valid for the whole run. A component that keeps a
+  /// view of its FIFOs' contents between notifications resynchronizes it
+  /// here. Default: none.
+  virtual void DeclareFifos(FifoRoles& /*roles*/) {}
 
-  /// Append the FIFOs that this component alone pops and whose pushes must
-  /// re-ask NextSelfWake (see the file comment). Called by the engine when a
-  /// run starts; the set must stay valid for the whole run. Default: none.
-  virtual void DeclareInputFifos(std::vector<const FifoBase*>& /*out*/) const {
+  /// Another component's push into input `slot` committed at `now`; returns
+  /// the earliest cycle (> now) the component must step at because of it,
+  /// or kNeverCycle. Called on every such commit. Default: NextSelfWake.
+  virtual Cycle InputPushed(std::size_t /*slot*/, Cycle now) {
+    return NextSelfWake(now);
   }
 
-  /// Earliest future cycle (> now) at which this component could act even
-  /// without new activity on its declared FIFOs, or kNeverCycle if FIFO
-  /// activity is the only thing that can enable it. Called right after each
-  /// Step, once that cycle's FIFO commits are visible. A component with
-  /// input FIFOs is also asked between steps, during the commits of a cycle
-  /// that pushed into one of them, so the answer may depend only on the
-  /// component's own state and on FIFO occupancy (which counts staged
-  /// transfers, hence is the same before and after the commits).
+  /// Another component's pop from output `slot` committed at `now`; as
+  /// InputPushed, but skipped while the component is already due next
+  /// cycle, so it must not change state. Default: NextSelfWake.
+  virtual Cycle OutputPopped(std::size_t /*slot*/, Cycle now) {
+    return NextSelfWake(now);
+  }
+
+  /// Earliest future cycle (> now) at which this component could act
+  /// without another component pushing into its inputs or popping its
+  /// outputs, or kNeverCycle if only that can enable it. Asked right after
+  /// each Step, once that cycle's FIFO commits are visible, and by the
+  /// default notifications.
   virtual Cycle NextSelfWake(Cycle now) const { return now + 1; }
 
   /// Called once per component when the engine starts collecting telemetry;
@@ -140,15 +165,19 @@ class CutLink {
   /// schedulers exactly.
   virtual void TrimDeliveriesAtOrAfter(Cycle cycle) = 0;
 
-  /// Wake FIFOs of the two halves and the receiver half's timed self-wake
-  /// (pipeline-head maturity), mirroring the fused component's contract.
-  virtual const FifoBase* tx_wake_fifo() const = 0;
-  virtual const FifoBase* rx_wake_fifo() const = 0;
-  virtual Cycle NextRxSelfWake(Cycle now) const = 0;
+  /// The halves' FIFOs: the sender half's input (TX) and the receiver
+  /// half's output (RX). A push into TX wakes the sender half on the next
+  /// cycle; a pop from RX re-asks NextRxSelfWake.
+  virtual const FifoBase* tx_fifo() const = 0;
+  virtual const FifoBase* rx_fifo() const = 0;
 
-  /// Sender half's timed self-wake. The lossless `FlowLink`'s sender only
-  /// ever reacts to FIFO activity (kNeverCycle); a reliable link also wakes
-  /// on acknowledgement maturity and retransmission timeouts.
+  /// The halves' self-wakes, mirroring the fused component's contract: the
+  /// receiver wakes when a matured payload can be delivered or a pending
+  /// one matures; the sender when a TX payload can be accepted, and a
+  /// reliable link's also on acknowledgement maturity and retransmission
+  /// timeouts. Credits crossing the cut arrive at barriers, where the
+  /// engine steps both halves anyway.
+  virtual Cycle NextRxSelfWake(Cycle now) const = 0;
   virtual Cycle NextTxSelfWake(Cycle now) const = 0;
 
   /// Bracket a parallel run. Called for *every* cut component (split or

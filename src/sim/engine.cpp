@@ -39,15 +39,18 @@ void TakeBits(std::vector<std::uint64_t>& bits, std::vector<std::size_t>& out) {
 
 /// Adapter exposing a split CutLink's sender half as a component of the
 /// sending partition. Credits only arrive at epoch barriers (where the
-/// engine force-schedules the half), so TX FIFO activity is the lone
-/// intra-epoch wake source.
+/// engine force-schedules the half), so within an epoch the half wakes on
+/// pushes into its TX input and on its own self-wake (see CutLink).
 class CutTxHalf final : public Component {
  public:
   CutTxHalf(std::string name, CutLink& cut)
       : Component(std::move(name)), cut_(&cut) {}
   void Step(Cycle now) override { cut_->StepTx(now); }
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
-    out.push_back(cut_->tx_wake_fifo());
+  void DeclareFifos(FifoRoles& roles) override {
+    roles.inputs.push_back(cut_->tx_fifo());
+  }
+  Cycle InputPushed(std::size_t /*slot*/, Cycle now) override {
+    return now + 1;
   }
   Cycle NextSelfWake(Cycle now) const override {
     return cut_->NextTxSelfWake(now);
@@ -59,15 +62,14 @@ class CutTxHalf final : public Component {
 
 /// Adapter exposing the receiver half in the receiving partition. New
 /// payloads only arrive at barriers (force-scheduled); within an epoch the
-/// half wakes on RX FIFO activity (pops freeing space) and on the pending
-/// head maturing.
+/// half wakes on pops from its RX output and on its own self-wake.
 class CutRxHalf final : public Component {
  public:
   CutRxHalf(std::string name, CutLink& cut)
       : Component(std::move(name)), cut_(&cut) {}
   void Step(Cycle now) override { cut_->StepRx(now); }
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
-    out.push_back(cut_->rx_wake_fifo());
+  void DeclareFifos(FifoRoles& roles) override {
+    roles.outputs.push_back(cut_->rx_fifo());
   }
   Cycle NextSelfWake(Cycle now) const override {
     return cut_->NextRxSelfWake(now);
@@ -162,15 +164,11 @@ void Engine::ConstrainEpochLength(Cycle bound) {
 }
 
 void Engine::WakeComponentAt(Component& component, Cycle cycle) {
-  std::size_t index = components_.size();
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].get() == &component) {
-      index = i;
-      break;
-    }
-  }
+  const auto it = comp_index_.find(&component);
   // Unknown component, or no event-driven run prepared yet (the synchronous
   // scheduler steps everything each cycle regardless).
+  if (it == comp_index_.end()) return;
+  const std::size_t index = it->second;
   if (index >= comp_recs_.size() || index >= comp_part_.size()) return;
   if (!partitions_.empty()) {
     ScheduleComponent(partitions_[static_cast<std::size_t>(comp_part_[index])],
@@ -189,22 +187,6 @@ void Engine::FidelitySyncPoint() {
   // run there is nothing to demote unless FlowLinks exist.
   if (parallel_active_ || flow_links_.empty()) return;
   for (FlowLinkControl* link : flow_links_) link->DemoteForSync(now_);
-}
-
-void Engine::SetComponentFifoWakeSuspended(const Component& component,
-                                           bool suspended) {
-  std::size_t index = components_.size();
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].get() == &component) {
-      index = i;
-      break;
-    }
-  }
-  if (index >= components_.size()) return;
-  if (comp_fifo_wake_off_.size() < components_.size()) {
-    comp_fifo_wake_off_.resize(components_.size(), 0);
-  }
-  comp_fifo_wake_off_[index] = suspended ? 1 : 0;
 }
 
 void Engine::RunGlobalEventsAt(Cycle now) {
@@ -297,9 +279,19 @@ void Engine::ScheduleComponent(Partition& p, std::size_t index, Cycle cycle) {
   if (cycle == p.soon) {
     SetBit(p.comp_soon, index);
     p.soon_pending = true;
-  } else {
+  } else if (cycle != rec.heap_wake) {
+    // A component re-asked after each step tends to repeat a far answer (a
+    // link's head maturity); its entry from the last time is still queued.
+    rec.heap_wake = cycle;
     p.comp_heap.emplace(cycle, index);
   }
+}
+
+void Engine::PopComponentWake(Partition& p) {
+  const auto [cycle, index] = p.comp_heap.top();
+  ComponentRec& rec = comp_recs_[index];
+  if (rec.heap_wake == cycle) rec.heap_wake = kNeverCycle;
+  p.comp_heap.pop();
 }
 
 void Engine::ScheduleKernel(Partition& p, std::size_t index, Cycle cycle) {
@@ -392,41 +384,37 @@ void Engine::PreparePartition(Partition& p) {
   p.error_cycle = kNeverCycle;
   p.dirty.clear();
   const Cycle now = *p.clock;
-  // The record of a FIFO that component `i` declared, or null for a FIFO
-  // this engine does not schedule.
-  const auto declared = [&](std::size_t i, const FifoBase* fifo,
-                            const char* what) -> FifoRec* {
-    if (fifo == nullptr || fifo->sched_owner() != this) return nullptr;
-    if (fifo_part_[fifo->sched_index()] != p.index) {
-      throw ConfigError("component " + components_[i]->name() + " declares " +
-                        what + " FIFO " + fifo->name() +
-                        " owned by another partition; only cut links may "
-                        "cross partitions");
+  // Record component `i` as the popper (inputs) or pusher (outputs) of
+  // every FIFO of this engine it declared; a FIFO has at most one of each.
+  const auto declare = [&](std::size_t i,
+                           const std::vector<const FifoBase*>& fifos,
+                           RoleSub FifoRec::*role, const char* what) {
+    for (std::size_t slot = 0; slot < fifos.size(); ++slot) {
+      const FifoBase* fifo = fifos[slot];
+      if (fifo == nullptr || fifo->sched_owner() != this) continue;
+      if (fifo_part_[fifo->sched_index()] != p.index) {
+        throw ConfigError("component " + components_[i]->name() +
+                          " declares " + what + " FIFO " + fifo->name() +
+                          " owned by another partition; only cut links may "
+                          "cross partitions");
+      }
+      RoleSub& sub = fifo_recs_[fifo->sched_index()].*role;
+      if (sub.component != kNoComponent && sub.component != i) {
+        throw ConfigError("component " + components_[i]->name() +
+                          " declares " + what + " FIFO " + fifo->name() +
+                          ", already the " + what + " of " +
+                          components_[sub.component]->name());
+      }
+      sub = RoleSub{i, slot};
     }
-    return &fifo_recs_[fifo->sched_index()];
   };
   for (const std::size_t i : p.components) {
     comp_recs_[i] = ComponentRec{};
-    p.watch_scratch.clear();
-    components_[i]->DeclareWakeFifos(p.watch_scratch);
-    for (const FifoBase* fifo : p.watch_scratch) {
-      if (FifoRec* rec = declared(i, fifo, "wake")) {
-        rec->component_subs.push_back(i);
-      }
-    }
-    p.watch_scratch.clear();
-    components_[i]->DeclareInputFifos(p.watch_scratch);
-    for (const FifoBase* fifo : p.watch_scratch) {
-      FifoRec* rec = declared(i, fifo, "input");
-      if (rec == nullptr) continue;
-      if (rec->input_sub != kNoInputSub && rec->input_sub != i) {
-        throw ConfigError("component " + components_[i]->name() +
-                          " declares input FIFO " + fifo->name() +
-                          ", already the input of " +
-                          components_[rec->input_sub]->name());
-      }
-      rec->input_sub = i;
-    }
+    p.declared_roles.inputs.clear();
+    p.declared_roles.outputs.clear();
+    components_[i]->DeclareFifos(p.declared_roles);
+    declare(i, p.declared_roles.inputs, &FifoRec::popper, "input");
+    declare(i, p.declared_roles.outputs, &FifoRec::pusher, "output");
     ScheduleComponent(p, i, now);
   }
   for (const std::size_t i : p.kernels) {
@@ -486,7 +474,7 @@ bool Engine::StepCycleEvent(Partition& p) {
   }
   while (!p.comp_heap.empty() && p.comp_heap.top().first <= now) {
     const auto [cycle, index] = p.comp_heap.top();
-    p.comp_heap.pop();
+    PopComponentWake(p);
     if (comp_recs_[index].next_wake == cycle) SetBit(p.comp_soon, index);
   }
   TakeBits(p.kernel_soon, p.due_kernels);
@@ -540,27 +528,26 @@ bool Engine::StepCycleEvent(Partition& p) {
     components_[index]->Step(now);
   }
 
-  // Phase 3: commit the FIFOs touched this cycle; a committed transfer wakes
-  // subscribed components and watching kernels for the next cycle (which is
-  // exactly when the transfer becomes visible to them). A push re-asks the
-  // input subscribers when they next need a step; their own pops never do.
+  // Phase 3: commit the FIFOs touched this cycle. A committed push tells the
+  // FIFO's popper, a committed pop its pusher, when it next needs a step;
+  // watching kernels re-poll next cycle (which is exactly when the transfer
+  // becomes visible to them).
   for (FifoBase* fifo : p.dirty) {
     const bool pushed = fifo->push_staged();
+    const bool popped = fifo->pop_staged();
     if (!fifo->Commit(now)) continue;
     progress = true;
     const FifoRec& rec = fifo_recs_[fifo->sched_index()];
-    if (pushed && rec.input_sub != kNoInputSub &&
-        comp_recs_[rec.input_sub].next_wake != now + 1) {
-      ScheduleComponent(p, rec.input_sub,
-                        components_[rec.input_sub]->NextSelfWake(now));
+    if (pushed && rec.popper.component != kNoComponent) {
+      const std::size_t c = rec.popper.component;
+      ScheduleComponent(p, c,
+                        components_[c]->InputPushed(rec.popper.slot, now));
     }
-    for (const std::size_t sub : rec.component_subs) {
-      // Flow-mode links opt out of FIFO-commit wakes: they run on timed
-      // modeled wakes instead (their NextSelfWake stays finite meanwhile).
-      if (sub < comp_fifo_wake_off_.size() && comp_fifo_wake_off_[sub] != 0) {
-        continue;
-      }
-      ScheduleComponent(p, sub, now + 1);
+    if (popped && rec.pusher.component != kNoComponent &&
+        comp_recs_[rec.pusher.component].next_wake != now + 1) {
+      const std::size_t c = rec.pusher.component;
+      ScheduleComponent(p, c,
+                        components_[c]->OutputPopped(rec.pusher.slot, now));
     }
     for (const std::size_t watcher : rec.kernel_watchers) {
       ScheduleKernel(p, watcher, now + 1);
@@ -585,7 +572,7 @@ Cycle Engine::NextEventCycle(Partition& p) {
   while (!p.comp_heap.empty() &&
          comp_recs_[p.comp_heap.top().second].next_wake !=
              p.comp_heap.top().first) {
-    p.comp_heap.pop();
+    PopComponentWake(p);
   }
   while (!p.kernel_heap.empty() &&
          kernels_[p.kernel_heap.top().second].next_poll !=

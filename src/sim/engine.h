@@ -28,14 +28,17 @@
 ///   only visits entities that can possibly act:
 ///     - FIFOs append themselves to a dirty list on the first push/pop of a
 ///       cycle, so the commit phase only touches FIFOs with staged work;
-///     - components are woken when a FIFO they declared through
-///       `Component::DeclareWakeFifos` commits a transfer, or at the cycle
-///       they requested through `Component::NextSelfWake`;
-///     - a commit that carried a push into a FIFO declared through
-///       `Component::DeclareInputFifos` re-asks the subscriber's
-///       `NextSelfWake` (unless it is already due next cycle). CKS/CKR use
-///       this to sleep until their R-polling pointer reaches an input
-///       holding data; the arbiter replays the skipped empty polls;
+///     - components declare FIFO roles (`Component::DeclareFifos`): a
+///       committed push into a component's *input* asks its
+///       `InputPushed(slot)`, a committed pop from its *output* its
+///       `OutputPopped(slot)` (unless it is due next cycle anyway); the
+///       answers and the `NextSelfWake` asked after each of its steps are
+///       min-ed into its wake. A component's own pops and pushes wake
+///       nothing. CKS/CKR use this to sleep until their polling pointer
+///       reaches an input holding data, or while the output their latched
+///       packet needs is full; the arbiter replays the skipped polls and
+///       stalled retries. A flow-mode link answers its next modeled wake
+///       whatever the FIFO activity;
 ///     - parked kernels are re-polled when a FIFO reported by their
 ///       blocker's `Blocker::WatchFifos` commits a transfer, or at the
 ///       blocker's `NextPollCycle` (timed waits sleep until their deadline);
@@ -128,6 +131,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -235,6 +239,7 @@ class Engine {
   C& MakeComponent(Args&&... args) {
     auto component = std::make_unique<C>(std::forward<Args>(args)...);
     C& ref = *component;
+    comp_index_.emplace(&ref, components_.size());
     comp_tags_.push_back(current_tag_);
     components_.push_back(std::move(component));
     return ref;
@@ -300,11 +305,6 @@ class Engine {
   /// exactly. No-op while a parallel run is in flight (links are already
   /// pinned) and when no FlowLinks exist.
   void FidelitySyncPoint();
-  /// Suppress (or restore) FIFO-commit wakes for `component`. Used by
-  /// flow-mode links, which replace FIFO-driven stepping with timed modeled
-  /// wakes; the component must keep NextSelfWake finite while suspended.
-  void SetComponentFifoWakeSuspended(const Component& component,
-                                     bool suspended);
   /// Registered hybrid-fidelity links, in registration order (for reports).
   const std::vector<FlowLinkControl*>& flow_links() const {
     return flow_links_;
@@ -328,15 +328,22 @@ class Engine {
   };
   struct ComponentRec {
     Cycle next_wake = kNeverCycle;  ///< scheduled step cycle (kNever = none)
+    /// Cycle of the component's latest wake-heap entry while it is queued
+    /// (kNever = none): a wake at that cycle needs no second entry.
+    Cycle heap_wake = kNeverCycle;
   };
+  /// A component's declared role on a FIFO: which component, and the
+  /// FIFO's slot among that component's inputs or outputs.
+  struct RoleSub {
+    std::size_t component = kNoComponent;
+    std::size_t slot = 0;
+  };
+  static constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
   struct FifoRec {
-    std::vector<std::size_t> component_subs;   ///< components to wake
     std::vector<std::size_t> kernel_watchers;  ///< parked kernels to re-poll
-    /// The component that declared this FIFO an input (its sole popper),
-    /// re-asked on a push commit; kNoInputSub if none.
-    std::size_t input_sub = kNoInputSub;
+    RoleSub popper;  ///< declared it an input; told of pushes
+    RoleSub pusher;  ///< declared it an output; told of pops
   };
-  static constexpr std::size_t kNoInputSub = static_cast<std::size_t>(-1);
   /// Min-heap of (cycle, entity index) with lazy deletion: an entry is live
   /// iff it matches the entity's currently scheduled cycle.
   using WakeHeap =
@@ -386,6 +393,7 @@ class Engine {
     std::vector<std::size_t> due_kernels;
     std::vector<const FifoBase*> watch_scratch;
     std::vector<std::size_t> watch_ids;  ///< CollectWatches output
+    FifoRoles declared_roles;
 
     // Worker-side error capture.
     std::exception_ptr error;
@@ -419,6 +427,8 @@ class Engine {
   void PreparePartition(Partition& p);
   void ScheduleComponent(Partition& p, std::size_t index, Cycle cycle);
   void ScheduleKernel(Partition& p, std::size_t index, Cycle cycle);
+  /// Pop the top of `p.comp_heap`, keeping ComponentRec::heap_wake exact.
+  void PopComponentWake(Partition& p);
   /// Fill `p.watch_ids` with the FIFOs of this engine that the kernel's
   /// blocker watches; throws ConfigError for a FIFO of another partition.
   void CollectWatches(Partition& p, std::size_t kernel_index);
@@ -456,6 +466,9 @@ class Engine {
   Cycle idle_cycles_ = 0;
   std::vector<std::unique_ptr<FifoBase>> fifos_;
   std::vector<std::unique_ptr<Component>> components_;
+  /// Component id by address, for WakeComponentAt (registered components
+  /// only; parallel-run adapter halves are never woken by address).
+  std::unordered_map<const Component*, std::size_t> comp_index_;
   std::vector<KernelSlot> kernels_;
 
   // Partition tags. `tag_clocks_` is a deque so slot addresses stay stable
@@ -468,11 +481,8 @@ class Engine {
   std::vector<int> kernel_tags_;
   std::vector<CutRec> cuts_;
 
-  // Hybrid-fidelity links (see sim/fidelity.h). `comp_fifo_wake_off_` is
-  // indexed by component id; a nonzero entry suppresses FIFO-commit wakes
-  // for that component (flow-mode links run on timed wakes instead).
+  // Hybrid-fidelity links (see sim/fidelity.h).
   std::vector<FlowLinkControl*> flow_links_;
-  std::vector<char> comp_fifo_wake_off_;
   bool parallel_active_ = false;
 
   // Global events (see ScheduleGlobalEvent). Guarded by the mutex because

@@ -90,8 +90,9 @@ class FifoBase {
     return capacity_ > used ? capacity_ - used : 0;
   }
 
-  /// True if a push was staged since the last commit.
+  /// True if a push / a pop was staged since the last commit.
   bool push_staged() const { return visible_tail_ != tail_; }
+  bool pop_staged() const { return visible_head_ != head_; }
 
   /// Commit staged pushes/pops: called by the engine at the boundary of
   /// cycle `now`; the committed state is observed from cycle `now + 1`.

@@ -23,17 +23,18 @@
 ///    count, so only a saturated (one payload per cycle) stream
 ///    accumulates evidence. After `FidelityPolicy::steady_window` such
 ///    cycles the link *promotes*.
-///  * *flow mode*: per-cycle stepping stops. The link suspends its FIFO
-///    wakes, self-wakes every `interval` cycles, and moves the interval's
-///    worth of payloads in bulk using the calibrated analytic plan
-///    (`PlanFlowTransfer`): accepts are bounded by elapsed cycles ×
-///    calibrated bandwidth, committed TX occupancy and the credit/backlog
-///    window; delivery stamps use the calibrated hop latency. The wake
-///    *demotes* back to cycle mode on congestion (a matured payload cannot
-///    be delivered — RX backpressure the analytic model cannot time), on
-///    drain (TX ran dry — the tail of a stream is re-timed exactly), at
-///    collective sync points (`FlowLinkControl::DemoteForSync`), and for the
-///    whole duration of any parallel-scheduler run (`SetForcedCycle`).
+///  * *flow mode*: per-cycle stepping stops. Whatever its FIFOs do, the
+///    link's wake answer is its next modeled wake, every `interval` cycles,
+///    and that wake moves the interval's worth of payloads in bulk using
+///    the calibrated analytic plan (`PlanFlowTransfer`): accepts are
+///    bounded by elapsed cycles × calibrated bandwidth, committed TX
+///    occupancy and the credit/backlog window; delivery stamps use the
+///    calibrated hop latency. The wake *demotes* back to cycle mode on
+///    congestion (a matured payload cannot be delivered — RX backpressure
+///    the analytic model cannot time), on drain (TX ran dry — the tail of a
+///    stream is re-timed exactly), at collective sync points
+///    (`FlowLinkControl::DemoteForSync`), and for the whole duration of any
+///    parallel-scheduler run (`SetForcedCycle`).
 ///
 /// The interval is clamped to min(tx, rx FIFO capacity) - 1 so a bulk
 /// transfer can never move more than the cycle-accurate link could have:
@@ -115,13 +116,30 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
     CycleStep(now);
   }
 
-  /// Wake contract: FIFO activity wakes the link; in cycle mode the only
-  /// timed wake is the head maturing (a stalled head waits for an RX pop).
+  /// Wake contract (TX input, RX output; see component.h). In flow mode
+  /// the answer is always the next modeled wake. In cycle mode the link is
+  /// due when it can deliver (a matured head and RX room), when TX holds
+  /// data it has not counted as credit-stalled (see TxNeedsStep), and at
+  /// the head's maturity. A link under the fidelity machinery instead steps
+  /// on the cycle after every transfer on its FIFOs, its own included: its
+  /// steady-state detector must see the cycle after each accept, and
+  /// `stepped_cycles`, from which the modeled fraction is reported, counts
+  /// exactly those steps.
+  Cycle InputPushed(std::size_t slot, Cycle now) override {
+    return flow_mode_ ? NextSelfWake(now)
+                      : SerialLink<T>::InputPushed(slot, now);
+  }
+  Cycle OutputPopped(std::size_t /*slot*/, Cycle now) override {
+    return !flow_mode_ && policy_.enabled() ? now + 1 : NextSelfWake(now);
+  }
   Cycle NextSelfWake(Cycle now) const override {
-    // Invariant: while FIFO wakes are suspended (flow mode) this must
-    // return a finite cycle, or the link would sleep forever.
     if (flow_mode_) return flow_due_ > now ? flow_due_ : now + 1;
-    return NextRxSelfWake(now);
+    if (policy_.enabled()) {
+      if (io_at_ == now) return now + 1;
+      return !wire_.empty() && wire_.FrontReady() > now ? wire_.FrontReady()
+                                                         : kNeverCycle;
+    }
+    return this->TxNeedsStep() ? now + 1 : NextRxSelfWake(now);
   }
 
   void AttachObservability(obs::Recorder& recorder) override {
@@ -223,12 +241,14 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
   }
 
   Cycle NextRxSelfWake(Cycle now) const override {
-    const bool pending = !wire_.empty() && wire_.FrontReady() > now;
-    return pending ? wire_.FrontReady() : kNeverCycle;
+    if (wire_.empty()) return kNeverCycle;
+    if (wire_.FrontReady() > now + 1) return wire_.FrontReady();
+    return rx_->occupancy() < rx_->capacity() ? now + 1 : kNeverCycle;
   }
-  /// The sender only ever reacts to FIFO activity (credits come back
-  /// through the barrier, not on a timer).
-  Cycle NextTxSelfWake(Cycle /*now*/) const override { return kNeverCycle; }
+  /// A credit-stalled sender stays stalled until the next barrier.
+  Cycle NextTxSelfWake(Cycle now) const override {
+    return this->TxNeedsStep() ? now + 1 : kNeverCycle;
+  }
 
  private:
   /// Cycle-accurate step (deliver, then accept) plus the steady-state
@@ -237,10 +257,11 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
   /// (kCycle) keeps no counters.
   void CycleStep(Cycle now) {
     if (policy_.enabled() && !forced_cycle_) ++counters_.stepped_cycles;
-    const bool blocked =
-        !Deliver(now) && wire_.HeadMatured(now);  // congestion
+    const bool delivered = Deliver(now);
+    const bool blocked = !delivered && wire_.HeadMatured(now);  // congestion
     const bool accept = Admit(now, wire_.size());
     if (accept) wire_.Push(tx_->Pop(now), now + latency_);
+    if (delivered || accept) io_at_ = now;
     if (!flow_capable_) return;
     if (blocked || !accept) {
       // A credit stall, a blocked delivery or an idle TX cycle all reset
@@ -287,7 +308,7 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
     const bool has_data = tx_->CanPop(now);
     const bool admit =
         has_data && outstanding < static_cast<std::size_t>(latency_) + 1;
-    if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !admit);
+    this->CountTxCycle(now, has_data && !admit);
     return admit;
   }
 
@@ -319,6 +340,7 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
       wire_.AcceptBulk(*tx_, batch.accepts, batch.first_pop + hop_latency_,
                        now);
     }
+    if (delivered_now > 0 || batch.accepts > 0) io_at_ = now;
 
     last_flow_wake_ = now;
     flow_due_ = NextFlowWake(now);
@@ -412,7 +434,6 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
     promoted_at_ = now;
     last_flow_wake_ = now;
     flow_due_ = NextFlowWake(now);
-    engine_->SetComponentFifoWakeSuspended(*this, true);
   }
 
   void Demote(Cycle now, std::uint64_t obs::FidelityCounters::* cause) {
@@ -450,7 +471,6 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
       promote_after_ = base;
       drain_backoff_ = 1;
     }
-    engine_->SetComponentFifoWakeSuspended(*this, false);
   }
 
   void NoteTransition(Cycle now) {
@@ -492,6 +512,7 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
   Cycle steady_accepts_ = 0;   ///< undisturbed accepts since last disturbance
   Cycle last_flow_wake_ = 0;
   Cycle flow_due_ = 0;
+  Cycle io_at_ = kNeverCycle;  ///< last cycle the link moved a payload
 
   // Thrash detection.
   Cycle thrash_window_start_ = 0;

@@ -68,8 +68,10 @@ bool MemoryBank::TryTransfer(Stream& s, Cycle now) {
   return true;
 }
 
-void MemoryBank::DeclareWakeFifos(std::vector<const FifoBase*>& out) const {
-  for (const Stream& s : streams_) out.push_back(s.fifo);
+void MemoryBank::DeclareFifos(FifoRoles& roles) {
+  for (const Stream& s : streams_) {
+    (s.is_read ? roles.outputs : roles.inputs).push_back(s.fifo);
+  }
 }
 
 Cycle MemoryBank::NextSelfWake(Cycle now) const {

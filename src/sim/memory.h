@@ -67,11 +67,13 @@ class MemoryBank final : public Component {
 
   void Step(Cycle now) override;
 
-  /// Event-driven wake contract: every stream FIFO is a wake source; a timed
-  /// wake is only needed while some stream could transfer (then the bank
-  /// must run every cycle so the budget arbitration stays cycle-exact).
-  /// Budget accrual for slept cycles is replayed at the start of Step.
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override;
+  /// Event-driven wake contract: read-stream FIFOs are outputs, write-stream
+  /// FIFOs inputs, so a transfer by the kernel on the other side re-asks
+  /// NextSelfWake. The bank must run every cycle while some stream could
+  /// transfer (the budget arbitration is cycle-stateful) and sleeps
+  /// otherwise; budget accrual for slept cycles is replayed at the start of
+  /// Step.
+  void DeclareFifos(FifoRoles& roles) override;
   Cycle NextSelfWake(Cycle now) const override;
 
   /// True when every registered stream has transferred its full range.

@@ -71,7 +71,6 @@ class ReliableLink final : public SerialLink<T> {
   using SerialLink<T>::tx_;
   using SerialLink<T>::rx_;
   using SerialLink<T>::latency_;
-  using SerialLink<T>::obs_;
   using SerialLink<T>::stats_;
 
  public:
@@ -166,11 +165,13 @@ class ReliableLink final : public SerialLink<T> {
   Cycle NextRxSelfWake(Cycle now) const override {
     if (fully_dead_) return kNeverCycle;
     // A buffered payload with RX FIFO space drains on the next cycle even
-    // when the wire is empty (accepting a frame into the buffer is not FIFO
-    // activity, so nothing else would wake us); with the FIFO full, the
-    // consumer's pop is the wake. The remaining timed events are the wire
-    // head maturing and the frame-per-cycle drain of a matured backlog.
-    if (!rx_pending_.empty() && rx_->CanPush(now)) return now + 1;
+    // when the wire is empty (the link's own transfers wake nothing); with
+    // the FIFO full, the consumer's pop is the wake. The remaining timed
+    // events are the wire head maturing and the frame-per-cycle drain of a
+    // matured backlog.
+    if (!rx_pending_.empty() && rx_->occupancy() < rx_->capacity()) {
+      return now + 1;
+    }
     if (fwd_wire_.empty()) return kNeverCycle;
     if (fwd_wire_.FrontReady() > now) return fwd_wire_.FrontReady();
     // Matured head left unconsumed: if it is acceptable but the receive
@@ -196,7 +197,8 @@ class ReliableLink final : public SerialLink<T> {
     } else if (!send_window_.empty()) {
       wake = std::min(wake, std::max(rto_deadline_, now + 1));
     }
-    if (!replay && send_window_.size() < window_ && tx_->occupancy() > 0) {
+    if ((!replay && send_window_.size() < window_ && tx_->occupancy() > 0) ||
+        this->TxNeedsStep()) {
       wake = std::min(wake, now + 1);
     }
     return wake;
@@ -284,7 +286,7 @@ class ReliableLink final : public SerialLink<T> {
         SendFrame(send_window_.back(), now, /*retransmit=*/false);
       }
     }
-    if (obs_ != nullptr) obs_->OnTxCycle(now, has_data && !accept);
+    this->CountTxCycle(now, has_data && !accept);
   }
 
  private:

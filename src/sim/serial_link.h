@@ -237,9 +237,16 @@ class SerialLink : public Component, public CutLink {
   std::uint64_t delivered() const { return stats_.delivered; }
   const obs::ReliabilityCounters& stats() const { return stats_; }
 
-  void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
-    out.push_back(tx_);
-    out.push_back(rx_);
+  /// TX is the link's input, RX its output. A push into TX wakes the link
+  /// on the next cycle whatever it holds: the sender side accounts its
+  /// credit-stall state from the step that observes it, and a push can turn
+  /// that state on.
+  void DeclareFifos(FifoRoles& roles) override {
+    roles.inputs.push_back(tx_);
+    roles.outputs.push_back(rx_);
+  }
+  Cycle InputPushed(std::size_t /*slot*/, Cycle now) override {
+    return now + 1;
   }
   void AttachObservability(obs::Recorder& recorder) override {
     obs_ = recorder.AddLink(name(), latency_);
@@ -247,8 +254,8 @@ class SerialLink : public Component, public CutLink {
   }
 
   Cycle link_latency() const override { return latency_; }
-  const FifoBase* tx_wake_fifo() const override { return tx_; }
-  const FifoBase* rx_wake_fifo() const override { return rx_; }
+  const FifoBase* tx_fifo() const override { return tx_; }
+  const FifoBase* rx_fifo() const override { return rx_; }
 
   void BeginParallelRun() override { SetJournaling(true); }
   void EndParallelRun() override { SetJournaling(false); }
@@ -275,6 +282,16 @@ class SerialLink : public Component, public CutLink {
     CountRx(stats_.delivered, now, n);
     if (obs_ != nullptr) obs_->OnDeliver(now, n);
   }
+  /// The sender side's step at `now` ended credit-stalled or not (TX data
+  /// it could not accept); the stall span runs until the next such step.
+  void CountTxCycle(Cycle now, bool stalled) {
+    tx_stalled_ = stalled;
+    if (obs_ != nullptr) obs_->OnTxCycle(now, stalled);
+  }
+  /// TX holds data the last sender step did not count as stalled: the next
+  /// cycle either accepts it or starts a credit-stall span, and both need a
+  /// sender step.
+  bool TxNeedsStep() const { return !tx_stalled_ && tx_->occupancy() > 0; }
   /// Only the final epoch's updates can need trimming.
   void ClearJournals() {
     tx_journal_.Clear();
@@ -295,6 +312,7 @@ class SerialLink : public Component, public CutLink {
 
   obs::Journal tx_journal_;
   obs::Journal rx_journal_;
+  bool tx_stalled_ = false;  ///< see CountTxCycle
 };
 
 }  // namespace smi::sim

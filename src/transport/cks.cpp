@@ -67,10 +67,12 @@ bool Cks::FlushExpired(sim::Cycle now) {
 }
 
 void Cks::Step(sim::Cycle now) {
+  stall_out_ = nullptr;
   // Failover-recovered packets go first, one per cycle, before any arbitered
   // input — the recovered window must re-enter the stream ahead of traffic
   // that was queued behind it. They bypass the handlers (see cks.h).
   if (!recovery_.empty()) {
+    arbiter_.SkipPoll(now);
     PacketFifo* out = Route(recovery_.front());
     if (out->CanPush(now)) {
       const net::Packet pkt = recovery_.front();
@@ -199,6 +201,10 @@ void Cks::Step(sim::Cycle now) {
   PacketFifo* out = Route(front);
   if (pushed || !out->CanPush(now)) {
     arbiter_.Stalled(now);
+    // With no combine-buffer packet held this packet is not combinable (it
+    // would have taken a free slot), so a retry can only differ once the
+    // output has room.
+    if (!pushed && combine_held_ == 0) stall_out_ = out;
     return;
   }
   const net::Packet pkt = in->Pop(now);
@@ -207,6 +213,17 @@ void Cks::Step(sim::Cycle now) {
   ++forwarded_;
   if (obs_ != nullptr) obs_->OnForward(static_cast<int>(pkt.hdr.op), now);
   arbiter_.Serviced(now);
+}
+
+void Cks::DeclareFifos(sim::FifoRoles& roles) {
+  arbiter_.AppendInputs(roles.inputs);
+  arbiter_.ResyncHasData();
+  for (const PacketFifo* out : {to_net_, to_ckr_}) {
+    if (out != nullptr) roles.outputs.push_back(out);
+  }
+  for (const PacketFifo* out : to_cks_) {
+    if (out != nullptr) roles.outputs.push_back(out);
+  }
 }
 
 void Cks::AttachObservability(obs::Recorder& recorder) {

@@ -72,7 +72,9 @@ class Cks final : public sim::Component {
 
   /// --- runtime routing upload ---
   /// `next_port[d]` = network port this rank uses toward rank d (may be -1
-  /// for d == local rank).
+  /// for d == local rank). A CKS sleeping on a stalled packet must be
+  /// stepped after a mid-run upload, which may reroute that packet (the
+  /// fabric wakes every CKS at a failover).
   void UploadRoutes(std::vector<int> next_port) {
     next_port_ = std::move(next_port);
   }
@@ -105,16 +107,26 @@ class Cks final : public sim::Component {
   /// stalls, handler activity) and shares it with the arbiter.
   void AttachObservability(obs::Recorder& recorder) override;
 
-  /// Event-driven wake contract: the arbiter inputs are input FIFOs (a
-  /// push re-asks NextSelfWake). A CK is due when the polling pointer
-  /// reaches an input holding data, when a held combine-buffer packet's
-  /// hold window expires, and every cycle while recovered packets wait.
-  void DeclareInputFifos(
-      std::vector<const sim::FifoBase*>& out) const override {
-    arbiter_.AppendInputs(out);
+  /// Event-driven wake contract: the arbiter inputs are the inputs, the
+  /// network, paired-CKR and crossbar FIFOs the outputs. A CK is due when
+  /// the polling pointer reaches an input holding data, when a held
+  /// combine-buffer packet's hold window expires, and every cycle while
+  /// recovered packets wait. A CK whose latched packet stalled on a full
+  /// output sleeps until that output has room (see stall_out_).
+  void DeclareFifos(sim::FifoRoles& roles) override;
+  sim::Cycle InputPushed(std::size_t slot, sim::Cycle now) override {
+    return arbiter_.WakeForPush(slot, now);
+  }
+  sim::Cycle OutputPopped(std::size_t /*slot*/, sim::Cycle now) override {
+    return stall_out_ != nullptr ? NextSelfWake(now) : sim::kNeverCycle;
   }
   sim::Cycle NextSelfWake(sim::Cycle now) const override {
     if (!recovery_.empty()) return now + 1;
+    if (stall_out_ != nullptr) {
+      return stall_out_->occupancy() < stall_out_->capacity()
+                 ? now + 1
+                 : sim::kNeverCycle;
+    }
     const sim::Cycle polls = arbiter_.PollsUntilData(now);
     sim::Cycle wake = polls == sim::kNeverCycle ? sim::kNeverCycle
                                                 : now + 1 + polls;
@@ -166,6 +178,11 @@ class Cks final : public sim::Component {
   HandlerTable handlers_;
   CombineSlot combine_[kCombineSlots];
   std::size_t combine_held_ = 0;  ///< busy slots in combine_
+  /// The full output the latched packet stalled on in the last Step, while
+  /// nothing but that output's room can change the retry's outcome (no
+  /// combine-buffer packet held, no flush pending); null otherwise. Until
+  /// then every retry is a stall the arbiter can replay, so the CK sleeps.
+  PacketFifo* stall_out_ = nullptr;
   std::vector<std::uint64_t> filter_seen_;  ///< per-entry match phase
   std::uint64_t forwarded_ = 0;
   std::uint64_t handler_combined_ = 0;

@@ -462,6 +462,13 @@ void Fabric::ExecuteFailover(std::size_t link_id, sim::Cycle death_cycle,
                        "disconnected");
   }
   UploadRoutes(net::ComputeRoutes(topo, net::RoutingScheme::kAuto));
+  // A CKS sleeping on a stalled packet retries it with the new table this
+  // cycle, as per-cycle stepping would.
+  for (const Rank& rank : ranks_) {
+    for (Cks* cks : rank.cks) {
+      if (cks != nullptr) engine_->WakeComponentAt(*cks, now);
+    }
+  }
 
   // Both directions freeze. Recover each direction's undelivered stream —
   // receiver-buffered frames, unacked window frames, then the packets still

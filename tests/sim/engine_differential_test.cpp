@@ -21,6 +21,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "core/smi.h"
+#include "fault/fault.h"
 
 namespace smi::core {
 namespace {
@@ -473,6 +474,230 @@ TEST(EngineDifferential, ClusterDeadlockFiresAtTheSameCycleAcrossPartitions) {
 }
 
 // ---------------------------------------------------------------------------
+// Stall sleep: receivers pop only every `every`-th cycle, so endpoint FIFOs
+// fill, CKRs' latched packets stall on them, and the backpressure stalls
+// CKs and links upstream. A stalled CK sleeps until its output has room and
+// the arbiter replays the retries; every CK, link, FIFO, kernel and fault
+// counter must come out exactly as under per-cycle stepping.
+
+Kernel SlowReceiver(Context& ctx, int n, int source, Cycle every,
+                    std::vector<std::int32_t>& sink) {
+  RecvChannel ch = ctx.OpenRecvChannel(n, DataType::kInt, source,
+                                       /*port=*/0, ctx.world());
+  for (int i = 0; i < n; ++i) {
+    sink.push_back(co_await ch.Pop<std::int32_t>());
+    co_await WaitCycles{every - 1};
+  }
+}
+
+struct StallPayload {
+  std::vector<std::vector<std::int32_t>> received;
+  std::string counters;  ///< the whole telemetry counter document
+  std::string faults;    ///< the fault report (null without a plan)
+
+  friend bool operator==(const StallPayload&,
+                         const StallPayload&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const StallPayload& p) {
+    return os << p.counters << "\n" << p.faults;
+  }
+};
+
+/// Every compute rank h of `topo` streams `n` ints to h + H/2 (mod H) over
+/// its own connection; with `one_way` only the first half sends. Receivers
+/// pop every `every` cycles.
+ClusterObservation RunSlowReceivers(ClusterConfig config, const Topology& topo,
+                                    bool one_way, int n, Cycle every,
+                                    StallPayload& payload) {
+  const int hosts = topo.num_compute_ranks();
+  ProgramSpec spec;
+  spec.Add(OpSpec::Send(0, DataType::kInt));
+  spec.Add(OpSpec::Recv(0, DataType::kInt));
+  config.engine.collect_counters = true;
+  Cluster cluster(topo, spec, config);
+  payload.received.assign(static_cast<std::size_t>(hosts), {});
+  for (int h = 0; h < hosts; ++h) {
+    const int peer = (h + hosts / 2) % hosts;
+    if (!one_way || h < hosts / 2) {
+      cluster.AddKernel(h, P2pSender(cluster.context(h), n, peer), "s");
+    }
+    if (!one_way || h >= hosts / 2) {
+      cluster.AddKernel(
+          h, SlowReceiver(cluster.context(h), n, peer, every,
+                          payload.received[static_cast<std::size_t>(h)]),
+          "r");
+    }
+  }
+  const RunResult result = cluster.Run();
+  payload.counters = cluster.CaptureTelemetry().counters.dump();
+  payload.faults = cluster.FaultsJson().dump();
+  return {result.cycles, result.link_packets, result.kernel_resumes};
+}
+
+/// Total CK stalls in a counter document.
+std::uint64_t CkStalls(const std::string& counters) {
+  std::uint64_t stalls = 0;
+  const json::Value doc = json::Parse(counters);
+  for (const json::Value& ck : doc.at("cks").as_array()) {
+    stalls += static_cast<std::uint64_t>(ck.at("stalls").as_int());
+  }
+  return stalls;
+}
+
+/// Total credit-stall cycles of the links in a counter document.
+std::uint64_t LinkCreditStalls(const std::string& counters) {
+  std::uint64_t stalls = 0;
+  const json::Value doc = json::Parse(counters);
+  for (const json::Value& link : doc.at("links").as_array()) {
+    stalls += static_cast<std::uint64_t>(
+        link.at("credit_stall_cycles").as_int());
+  }
+  return stalls;
+}
+
+TEST(EngineDifferential, StallSleepOnTorusIsCycleIdentical) {
+  // Long enough that blocked deliveries fill the links' credit windows too.
+  const auto run = [](const ClusterConfig& config, StallPayload& payload) {
+    return RunSlowReceivers(config, Topology::Torus2D(2, 4), /*one_way=*/false,
+                            1500, 5, payload);
+  };
+  StallPayload probe;
+  run(WithScheduler(SchedulerKind::kSynchronous), probe);
+  ASSERT_EQ(probe.received[0].size(), 1500u);
+  EXPECT_GT(CkStalls(probe.counters), 1000u);
+  EXPECT_GT(LinkCreditStalls(probe.counters), 0u);
+  ExpectAllSchedulersIdentical<StallPayload>(run);
+}
+
+TEST(EngineDifferential, StallSleepOnFatTreeIsCycleIdentical) {
+  const auto run = [](const ClusterConfig& config, StallPayload& payload) {
+    return RunSlowReceivers(config, Topology::FatTree(4, 4, 2),
+                            /*one_way=*/true, 300, 4, payload);
+  };
+  StallPayload probe;
+  run(WithScheduler(SchedulerKind::kSynchronous), probe);
+  ASSERT_EQ(probe.received[8].size(), 300u);
+  EXPECT_GT(CkStalls(probe.counters), 1000u);
+  ExpectAllSchedulersIdentical<StallPayload>(run);
+}
+
+TEST(EngineDifferential, StallSleepOverReliableLinksIsCycleIdentical) {
+  const auto run = [](ClusterConfig config, StallPayload& payload) {
+    config.fabric.fault =
+        fault::FaultPlan::Parse("drop=0.02,corrupt=0.005,seed=4");
+    return RunSlowReceivers(config, Topology::Torus2D(2, 4), /*one_way=*/false,
+                            200, 6, payload);
+  };
+  StallPayload probe;
+  run(WithScheduler(SchedulerKind::kSynchronous), probe);
+  ASSERT_EQ(probe.received[0].size(), 200u);
+  EXPECT_GT(CkStalls(probe.counters), 1000u);
+  const json::Value faults = json::Parse(probe.faults);
+  EXPECT_GT(faults.at("totals").get_int("retransmits", 0), 0);
+  ExpectAllSchedulersIdentical<StallPayload>(run);
+}
+
+/// The outcome of a run that may end in a simulated deadlock.
+struct Outcome {
+  bool deadlocked = false;
+  Cycle cycle = 0;     ///< completion cycle (a deadlock report names its own)
+  std::string detail;  ///< deadlock report without partition annotations,
+                       ///< or the counter document of a completed run
+
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+template <typename Scenario>
+Outcome RunToOutcome(Scenario&& scenario, SchedulerKind kind,
+                     unsigned threads = 1) {
+  ClusterConfig config = WithScheduler(kind, threads);
+  config.engine.watchdog_cycles = 3000;
+  Outcome outcome;
+  StallPayload payload;
+  try {
+    outcome.cycle = scenario(config, payload).cycles;
+    outcome.detail = payload.counters;
+  } catch (const DeadlockError& e) {
+    outcome.deadlocked = true;
+    outcome.detail = StripPartitionAnnotations(e.what());
+  }
+  return outcome;
+}
+
+template <typename Scenario>
+Outcome ExpectSameOutcome(Scenario&& scenario) {
+  const Outcome sync = RunToOutcome(scenario, SchedulerKind::kSynchronous);
+  const Outcome event = RunToOutcome(scenario, SchedulerKind::kEventDriven);
+  EXPECT_EQ(event.deadlocked, sync.deadlocked);
+  EXPECT_EQ(event.cycle, sync.cycle);
+  EXPECT_EQ(event.detail, sync.detail);
+  for (const unsigned threads : kThreadCounts) {
+    const Outcome par =
+        RunToOutcome(scenario, SchedulerKind::kParallel, threads);
+    EXPECT_EQ(par.deadlocked, sync.deadlocked) << "threads=" << threads;
+    EXPECT_EQ(par.cycle, sync.cycle) << "threads=" << threads;
+    EXPECT_EQ(par.detail, sync.detail) << "threads=" << threads;
+  }
+  return sync;
+}
+
+TEST(EngineDifferential, GivingUpReceiversDeadlockAtTheSameCycle) {
+  // Receivers stop after half the stream: the rest backs up into full
+  // FIFOs, every CK on the way sleeps on a stalled packet, and the
+  // watchdog must still fire at the per-cycle stepping's cycle.
+  const auto run = [](const ClusterConfig& config, StallPayload& payload) {
+    const Topology topo = Topology::FatTree(4, 4, 2);
+    ProgramSpec spec;
+    spec.Add(OpSpec::Send(0, DataType::kInt));
+    spec.Add(OpSpec::Recv(0, DataType::kInt));
+    Cluster cluster(topo, spec, config);
+    payload.received.assign(16, {});
+    for (int h = 0; h < 8; ++h) {
+      cluster.AddKernel(h, P2pSender(cluster.context(h), 4000, h + 8), "s");
+      cluster.AddKernel(
+          h + 8,
+          SlowReceiver(cluster.context(h + 8), 300, h, 3,
+                       payload.received[static_cast<std::size_t>(h + 8)]),
+          "r");
+    }
+    const RunResult result = cluster.Run();
+    return ClusterObservation{result.cycles, result.link_packets,
+                              result.kernel_resumes};
+  };
+  const Outcome sync = ExpectSameOutcome(run);
+  EXPECT_TRUE(sync.deadlocked);
+}
+
+TEST(EngineDifferential, TwoWaySwitchTrafficHasTheSameOutcome) {
+  // Every host of FatTree(4, 4, 2) streams 1,029 ints (147 packets) to
+  // host h + 8 (mod 16), so both directions cross every switch. This shape
+  // deadlocks in the CK layer (a known defect); whatever the outcome, it must
+  // be the same under every scheduler.
+  const auto run = [](const ClusterConfig& config, StallPayload& payload) {
+    ClusterConfig c = config;
+    c.engine.collect_counters = true;
+    const Topology topo = Topology::FatTree(4, 4, 2);
+    ProgramSpec spec;
+    spec.Add(OpSpec::Send(0, DataType::kInt));
+    spec.Add(OpSpec::Recv(0, DataType::kInt));
+    Cluster cluster(topo, spec, c);
+    payload.received.assign(16, {});
+    for (int h = 0; h < 16; ++h) {
+      const int peer = (h + 8) % 16;
+      cluster.AddKernel(h, P2pSender(cluster.context(h), 1029, peer), "s");
+      cluster.AddKernel(
+          h, P2pReceiver(cluster.context(h), 1029,
+                         payload.received[static_cast<std::size_t>(h)], peer),
+          "r");
+    }
+    const RunResult result = cluster.Run();
+    payload.counters = cluster.CaptureTelemetry().counters.dump();
+    return ClusterObservation{result.cycles, result.link_packets,
+                              result.kernel_resumes};
+  };
+  ExpectSameOutcome(run);
+}
+
+// ---------------------------------------------------------------------------
 // Telemetry differential: with counter and trace collection enabled, the
 // exported documents (per-entity counters and the Chrome trace timeline)
 // must be BIT-identical across the three schedulers — duration counters are
@@ -669,7 +894,7 @@ TEST(EngineDifferential, AlternatingWatchSetIsCycleIdentical) {
 
 /// Pushes the cycle it steps at into `out` once per Arm(). It declares no
 /// self-wake while idle, so under the event-driven schedulers only
-/// Engine::WakeComponentAt (or a pop freeing space) can step it.
+/// Engine::WakeComponentAt (or a pop from its output) can step it.
 class ArmedSource final : public sim::Component {
  public:
   ArmedSource(std::string name, sim::Fifo<std::int64_t>& out)
@@ -680,8 +905,8 @@ class ArmedSource final : public sim::Component {
     out_->Push(static_cast<std::int64_t>(now), now);
     --armed_;
   }
-  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(out_);
+  void DeclareFifos(sim::FifoRoles& roles) override {
+    roles.outputs.push_back(out_);
   }
   Cycle NextSelfWake(Cycle now) const override {
     return armed_ != 0 ? now + 1 : sim::kNeverCycle;
@@ -798,11 +1023,14 @@ class TickingForwarder final : public sim::Component {
       last_ = now;
     }
   }
-  void DeclareWakeFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(in_);
-    out.push_back(out_);
+  void DeclareFifos(sim::FifoRoles& roles) override {
+    roles.inputs.push_back(in_);
+    roles.outputs.push_back(out_);
   }
   Cycle NextSelfWake(Cycle now) const override {
+    if (in_->occupancy() > 0 && out_->occupancy() < out_->capacity()) {
+      return now + 1;
+    }
     return last_ + period_ > now ? last_ + period_ : now + 1;
   }
 

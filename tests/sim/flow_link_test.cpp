@@ -166,13 +166,13 @@ TEST(Link, NextSelfWakeCoversMaturityButNotRxStall) {
   // second payload matures at 5 but finds RX full.
   StepManually(link, tx, rx, 4);
   EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(link.NextSelfWake(4), Cycle{5});
+  // Matured-but-stalled head: NO timed wake, already when the full RX FIFO
+  // is visible before the head matures. Only an RX pop can unstall it, and
+  // a pop from the link's output re-asks NextSelfWake, so a timer here
+  // would be a pure busy-poll.
+  EXPECT_EQ(link.NextSelfWake(4), kNeverCycle);
   StepManually(link, tx, rx, 5);
   EXPECT_EQ(link.delivered(), 1u);  // stalled
-
-  // Matured-but-stalled head: NO timed wake. Only RX-pop activity can
-  // unstall it, and FIFO activity wakes the link through DeclareWakeFifos,
-  // so a timer here would be a pure busy-poll.
   EXPECT_EQ(link.NextSelfWake(5), kNeverCycle);
 
   // An RX pop unstalls the delivery on the following cycle.

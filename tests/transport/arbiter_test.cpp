@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/counters.h"
 
 namespace smi::transport {
 namespace {
@@ -156,13 +160,16 @@ TEST(PollingArbiter, StalledGrantRetriesSameInput) {
 }
 
 // ---------------------------------------------------------------------------
-// PollsUntilData: the event-driven engine sleeps a CK for that many cycles,
-// and the arbiter replays them as empty polls at the next Select.
+// PollsUntilData / PollsUntilInput: the event-driven engine sleeps a CK
+// until its pointer reaches data, and the arbiter replays the skipped cycles
+// as empty polls. A CK whose latched packet stalls on a full output sleeps
+// until the output has room, and the arbiter replays the stalled retries.
 
 /// Reference for PollsUntilData: step a copy of the arbiter one Select per
 /// cycle from `now + 1`, with the FIFOs unchanged, and count the empty polls
 /// before the first hit.
 sim::Cycle PollsByStepping(PollingArbiter copy, sim::Cycle now) {
+  copy.set_counters(nullptr);
   const sim::Cycle limit = 2 * copy.num_inputs() + 2;
   for (sim::Cycle k = 0; k < limit; ++k) {
     if (copy.Select(now + 1 + k) != nullptr) return k;
@@ -177,6 +184,8 @@ void ExpectSkipMatchesStepping(const PollingArbiter& arb, sim::Cycle now,
                                sim::Cycle polls) {
   PollingArbiter stepped = arb;
   PollingArbiter skipped = arb;
+  stepped.set_counters(nullptr);
+  skipped.set_counters(nullptr);
   for (sim::Cycle k = 0; k < polls; ++k) {
     ASSERT_EQ(stepped.Select(now + 1 + k), nullptr);
   }
@@ -192,68 +201,163 @@ void ExpectSkipMatchesStepping(const PollingArbiter& arb, sim::Cycle now,
   }
 }
 
+/// One CK's arbiter over its own input FIFOs, with its counters.
+struct CkModel {
+  CkModel(int n, int r) : arb(r) {
+    for (int i = 0; i < n; ++i) {
+      fifos.push_back(
+          std::make_unique<PacketFifo>("in" + std::to_string(i), 2));
+      arb.AddInput(*fifos.back());
+    }
+    arb.set_counters(&counters);
+  }
+
+  /// One CK step at `now`: drain another queue (no poll), or poll and then
+  /// consume the granted packet unless the output is full. Returns the
+  /// granted input (-1 for none) and whether it stalled.
+  std::pair<int, bool> Step(sim::Cycle now, bool output_full, bool drain) {
+    if (drain) {
+      arb.SkipPoll(now);
+      return {-1, false};
+    }
+    PacketFifo* in = arb.Select(now);
+    if (in == nullptr) return {-1, false};
+    int index = -1;
+    for (std::size_t i = 0; i < fifos.size(); ++i) {
+      if (fifos[i].get() == in) index = static_cast<int>(i);
+    }
+    if (output_full) {
+      arb.Stalled(now);
+      return {index, true};
+    }
+    (void)in->Pop(now);
+    arb.Serviced(now);
+    return {index, false};
+  }
+
+  std::vector<std::unique_ptr<PacketFifo>> fifos;
+  PollingArbiter arb;
+  obs::CkCounters counters;
+};
+
 TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
+  // Two copies of one CK see the same pushes, the same full/room output
+  // and the same cycles spent draining another queue. `stepped` polls every
+  // cycle, as under the synchronous scheduler; `sleeping` steps only when
+  // the engine would: at its wake, which is min-ed from its NextSelfWake
+  // answer after each step (PollsUntilData, or sleep while stalled) and the
+  // O(1) push answers (PollsUntilInput); when its stalled output regains
+  // room (the output pop's re-ask); and on drain cycles (a CK is due every
+  // cycle while a queue waits). An arbiter that never polled is covered by
+  // NeverPolledArbiterMustStepOnAnyData. Grants must agree wherever `sleeping`
+  // steps, every cycle it sleeps must be an empty poll or a stalled retry
+  // for `stepped`, and the counters must agree at the end.
   std::mt19937_64 rng(0x5eed);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   const double push_rates[] = {0.01, 0.08, 0.4};
-  const double skip_rates[] = {0.0, 0.3, 0.9};  // cycles without Select
-  std::uint64_t found = 0, never = 0, skipped_polls = 0;
-  for (int n = 1; n <= 33; ++n) {
+  const double drain_rates[] = {0.0, 0.1, 0.5};
+  const double full_rates[] = {0.0, 0.3, 0.8};
+  constexpr sim::Cycle kCycles = 160;
+  std::uint64_t found = 0, never = 0, skipped_polls = 0, slept_retries = 0;
+  for (int n = 1; n <= 65; ++n) {
     for (int r = 1; r <= 8; ++r) {
       const double push_rate = push_rates[(n + r) % 3];
-      const double skip_rate = skip_rates[(n * 8 + r) % 3];
-      std::vector<std::unique_ptr<PacketFifo>> fifos;
-      PollingArbiter arb(r);
-      for (int i = 0; i < n; ++i) {
-        fifos.push_back(
-            std::make_unique<PacketFifo>("in" + std::to_string(i), 2));
-        arb.AddInput(*fifos.back());
-      }
-      bool polled = false;
-      for (sim::Cycle now = 0; now < 160; ++now) {
-        for (auto& f : fifos) {
-          if (coin(rng) < push_rate && f->CanPush(now)) {
-            f->Push(DataPacket(0), now);
+      const double drain_rate = drain_rates[(n * 8 + r) % 3];
+      const double full_rate = full_rates[(n + 2 * r) % 3];
+      CkModel stepped(n, r);
+      CkModel sleeping(n, r);
+      sim::Cycle wake = 0;  // the engine schedules every CK at run start
+      bool stall_sleep = false;
+      bool output_full = false;
+      std::vector<std::size_t> pushed;
+      for (sim::Cycle now = 0; now < kCycles; ++now) {
+        pushed.clear();
+        for (int i = 0; i < n; ++i) {
+          PacketFifo& a = *stepped.fifos[static_cast<std::size_t>(i)];
+          PacketFifo& b = *sleeping.fifos[static_cast<std::size_t>(i)];
+          ASSERT_EQ(a.CanPush(now), b.CanPush(now));
+          if (coin(rng) < push_rate && a.CanPush(now)) {
+            a.Push(DataPacket(0), now);
+            b.Push(DataPacket(0), now);
+            pushed.push_back(static_cast<std::size_t>(i));
           }
         }
-        // A CK draining its fan-out or recovery queue skips Select.
-        if (coin(rng) >= skip_rate) {
-          polled = true;
-          if (PacketFifo* in = arb.Select(now)) {
-            if (coin(rng) < 0.2) {
-              arb.Stalled(now);
-            } else {
-              (void)in->Pop(now);
-              arb.Serviced(now);
-            }
-          }
-        }
-        for (auto& f : fifos) f->Commit(now);
+        if (coin(rng) < 0.25) output_full = coin(rng) < full_rate;
+        // Every CK steps, and so polls, at the first cycle of a run; queues
+        // to drain only fill later.
+        const bool drain = now > 0 && coin(rng) < drain_rate;
 
-        const sim::Cycle polls = arb.PollsUntilData(now);
-        if (!polled) {
-          bool any = false;
-          for (auto& f : fifos) any |= f->occupancy() > 0;
-          ASSERT_EQ(polls, any ? 0 : sim::kNeverCycle);
-          continue;
+        const auto want = stepped.Step(now, output_full, drain);
+        // A stalled CK wakes once the output has room (a pop freed it).
+        // Its pointer stays on the latched input meanwhile, so a push
+        // elsewhere must not wake it.
+        const bool due =
+            drain || wake == now || (stall_sleep && !output_full);
+        if (stall_sleep && !drain) {
+          ASSERT_FALSE(wake == now && output_full)
+              << "a push woke a stalled CK: n=" << n << " r=" << r
+              << " now=" << now;
+          ASSERT_EQ(sleeping.arb.PollsUntilData(now), 0u);
         }
-        ASSERT_EQ(polls, PollsByStepping(arb, now))
+        if (due) {
+          const auto got = sleeping.Step(now, output_full, drain);
+          ASSERT_EQ(got, want) << "n=" << n << " r=" << r << " now=" << now;
+          wake = sim::kNeverCycle;
+          stall_sleep = got.second;
+        } else if (want.first < 0) {
+          ASSERT_FALSE(stall_sleep) << "n=" << n << " r=" << r
+                                    << " now=" << now;
+          ++skipped_polls;
+        } else {
+          ASSERT_TRUE(want.second && stall_sleep)
+              << "missed wake: n=" << n << " r=" << r << " now=" << now
+              << " grant " << want.first << " stalled " << want.second
+              << " wake " << wake << " full " << output_full << " drain "
+              << drain;
+          ++slept_retries;
+        }
+
+        // Commit, then the push notifications (the engine's InputPushed).
+        for (auto& f : stepped.fifos) f->Commit(now);
+        for (auto& f : sleeping.fifos) f->Commit(now);
+        for (const std::size_t slot : pushed) {
+          stepped.arb.MarkHasData(slot);
+          sleeping.arb.MarkHasData(slot);
+          const sim::Cycle polls = sleeping.arb.PollsUntilInput(slot, now);
+          if (polls != sim::kNeverCycle) wake = std::min(wake, now + 1 + polls);
+        }
+        // The NextSelfWake asked after a step: sleep while stalled.
+        if (due && !stall_sleep) {
+          const sim::Cycle polls = sleeping.arb.PollsUntilData(now);
+          if (polls != sim::kNeverCycle) wake = std::min(wake, now + 1 + polls);
+        }
+
+        const sim::Cycle polls = stepped.arb.PollsUntilData(now);
+        ASSERT_EQ(polls, PollsByStepping(stepped.arb, now))
             << "n=" << n << " r=" << r << " now=" << now;
         if (polls == sim::kNeverCycle) {
           ++never;
           continue;
         }
         ++found;
-        skipped_polls += polls;
-        ExpectSkipMatchesStepping(arb, now, polls);
+        ExpectSkipMatchesStepping(stepped.arb, now, polls);
         if (HasFatalFailure()) return;
       }
+      stepped.counters.Finalize(kCycles);
+      sleeping.counters.Finalize(kCycles);
+      const std::string where = "n=" + std::to_string(n) +
+                                " r=" + std::to_string(r);
+      EXPECT_EQ(sleeping.counters.polls, stepped.counters.polls) << where;
+      EXPECT_EQ(sleeping.counters.hits, stepped.counters.hits) << where;
+      EXPECT_EQ(sleeping.counters.stalls, stepped.counters.stalls) << where;
+      EXPECT_EQ(sleeping.counters.bursts, stepped.counters.bursts) << where;
     }
   }
-  // Both answers and real skips were exercised.
+  // Answers, real skips and slept stalls were all exercised.
   EXPECT_GT(found, 1000u);
   EXPECT_GT(never, 1000u);
   EXPECT_GT(skipped_polls, 10000u);
+  EXPECT_GT(slept_retries, 1000u);
 }
 
 TEST(PollingArbiter, PollsUntilDataWithoutInputsIsNever) {
@@ -269,23 +373,52 @@ TEST(PollingArbiter, NeverPolledArbiterMustStepOnAnyData) {
   // any input holds data, even if input 0 is empty.
   sim::Fifo<net::Packet> a("a", 4), b("b", 4), c("c", 4);
   PollingArbiter arb(1);
+  obs::CkCounters counters;
+  arb.set_counters(&counters);
   arb.AddInput(a);
   arb.AddInput(b);
   arb.AddInput(c);
   EXPECT_EQ(arb.PollsUntilData(10), sim::kNeverCycle);
   c.Push(DataPacket(2), 10);
   c.Commit(10);
+  arb.MarkHasData(2);  // the push notification
+  EXPECT_EQ(arb.PollsUntilInput(2, 10), 0u);
   EXPECT_EQ(arb.PollsUntilData(10), 0u);
   // Once polled the pointer moves with time: input 0 examined at 11, so
   // input 1 at 12 and input 2 at 13.
   EXPECT_EQ(arb.Select(11), nullptr);
   EXPECT_EQ(arb.PollsUntilData(11), 1u);
+  EXPECT_EQ(arb.PollsUntilInput(2, 11), 1u);
+  EXPECT_EQ(arb.PollsUntilInput(0, 11), 2u);
   // Cycles 12-14 pass without Select (the CK drained another queue); the
   // next Select replays them, so the pointer examines input 1 at 15 and
   // input 2 at 16.
   EXPECT_EQ(arb.PollsUntilData(14), 1u);
   EXPECT_EQ(arb.Select(15), nullptr);
   EXPECT_EQ(arb.Select(16), &c);
+  // The packet stalls on a full output. The pointer stays on the latched
+  // input: a push elsewhere is not examined before the stall ends, and the
+  // latched input is due at once.
+  arb.Stalled(16);
+  a.Push(DataPacket(0), 17);
+  a.Commit(17);
+  arb.MarkHasData(0);
+  EXPECT_EQ(arb.PollsUntilInput(0, 17), sim::kNeverCycle);
+  EXPECT_EQ(arb.PollsUntilData(17), 0u);
+  // The CK slept through cycles 17-20; Select at 21 replays them as
+  // retries of the latched packet, each a hit and a stall.
+  EXPECT_EQ(arb.Select(21), &c);
+  EXPECT_EQ(counters.stalls, 5u);  // cycle 16, then 17-20
+  EXPECT_EQ(counters.hits, 6u);    // cycles 16-21
+  (void)c.Pop(21);
+  arb.Serviced(21);
+  c.Commit(21);
+  // Input 2 is empty again and R = 1 moved the pointer on: input 0 at 22.
+  EXPECT_EQ(arb.PollsUntilData(21), 0u);
+  EXPECT_EQ(arb.Select(22), &a);
+  counters.Finalize(23);
+  EXPECT_EQ(counters.polls, 23u);  // the watermark starts at cycle 0
+  EXPECT_EQ(counters.bursts, 1u);
 }
 
 }  // namespace
