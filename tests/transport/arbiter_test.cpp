@@ -246,7 +246,7 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
   // cycle, as under the synchronous scheduler; `sleeping` steps only when
   // the engine would: at its wake, which is min-ed from its NextSelfWake
   // answer after each step (PollsUntilData, or sleep while stalled) and the
-  // O(1) push answers (PollsUntilInput); when its stalled output regains
+  // O(1) push answers (WakeForPush); when its stalled output regains
   // room (the output pop's re-ask); and on drain cycles (a CK is due every
   // cycle while a queue waits). An arbiter that never polled is covered by
   // NeverPolledArbiterMustStepOnAnyData. Grants must agree wherever `sleeping`
@@ -322,9 +322,7 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
         for (auto& f : sleeping.fifos) f->Commit(now);
         for (const std::size_t slot : pushed) {
           stepped.arb.MarkHasData(slot);
-          sleeping.arb.MarkHasData(slot);
-          const sim::Cycle polls = sleeping.arb.PollsUntilInput(slot, now);
-          if (polls != sim::kNeverCycle) wake = std::min(wake, now + 1 + polls);
+          wake = std::min(wake, sleeping.arb.WakeForPush(slot, now));
         }
         // The NextSelfWake asked after a step: sleep while stalled.
         if (due && !stall_sleep) {
