@@ -57,6 +57,7 @@ class Recorder;
 
 namespace smi::sim {
 
+class Engine;
 class FifoBase;
 
 /// A component's FIFOs by role (see the file comment). A FIFO is the input
@@ -112,7 +113,11 @@ class Component {
   virtual void AttachObservability(obs::Recorder& /*recorder*/) {}
 
  private:
+  friend class Engine;
+
   std::string name_;
+  /// Index in the owning engine's component list (set by MakeComponent).
+  std::size_t engine_id_ = static_cast<std::size_t>(-1);
 };
 
 /// Interface of a component that can act as a *cut edge* between two

@@ -164,12 +164,13 @@ void Engine::ConstrainEpochLength(Cycle bound) {
 }
 
 void Engine::WakeComponentAt(Component& component, Cycle cycle) {
-  const auto it = comp_index_.find(&component);
+  const std::size_t index = component.engine_id_;
   // Unknown component, or no event-driven run prepared yet (the synchronous
   // scheduler steps everything each cycle regardless).
-  if (it == comp_index_.end()) return;
-  const std::size_t index = it->second;
-  if (index >= comp_recs_.size() || index >= comp_part_.size()) return;
+  if (index >= components_.size() || components_[index].get() != &component ||
+      index >= comp_recs_.size() || index >= comp_part_.size()) {
+    return;
+  }
   if (!partitions_.empty()) {
     ScheduleComponent(partitions_[static_cast<std::size_t>(comp_part_[index])],
                       index, cycle);

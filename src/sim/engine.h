@@ -131,7 +131,6 @@
 #include <mutex>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -239,7 +238,7 @@ class Engine {
   C& MakeComponent(Args&&... args) {
     auto component = std::make_unique<C>(std::forward<Args>(args)...);
     C& ref = *component;
-    comp_index_.emplace(&ref, components_.size());
+    ref.engine_id_ = components_.size();
     comp_tags_.push_back(current_tag_);
     components_.push_back(std::move(component));
     return ref;
@@ -466,9 +465,6 @@ class Engine {
   Cycle idle_cycles_ = 0;
   std::vector<std::unique_ptr<FifoBase>> fifos_;
   std::vector<std::unique_ptr<Component>> components_;
-  /// Component id by address, for WakeComponentAt (registered components
-  /// only; parallel-run adapter halves are never woken by address).
-  std::unordered_map<const Component*, std::size_t> comp_index_;
   std::vector<KernelSlot> kernels_;
 
   // Partition tags. `tag_clocks_` is a deque so slot addresses stay stable

@@ -512,7 +512,13 @@ class FlowLink final : public SerialLink<T>, public FlowLinkControl {
   Cycle steady_accepts_ = 0;   ///< undisturbed accepts since last disturbance
   Cycle last_flow_wake_ = 0;
   Cycle flow_due_ = 0;
-  Cycle io_at_ = kNeverCycle;  ///< last cycle the link moved a payload
+  /// Last cycle the link moved a payload. Only the fidelity links'
+  /// step-after-every-transfer wake reads it (see OutputPopped and
+  /// NextSelfWake): `sim.fidelity_modeled_fraction` counts those steps.
+  /// ROADMAP item 10 makes that metric count cycles instead; its change
+  /// deletes this field and the OutputPopped special case, so that fidelity
+  /// links answer TxNeedsStep/NextRxSelfWake like `kCycle` links.
+  Cycle io_at_ = kNeverCycle;
 
   // Thrash detection.
   Cycle thrash_window_start_ = 0;

@@ -5,44 +5,6 @@
 
 namespace smi::transport {
 
-void Ckr::SetCkrOutput(int q, PacketFifo& fifo) {
-  if (to_ckr_.size() <= static_cast<std::size_t>(q)) {
-    to_ckr_.resize(static_cast<std::size_t>(q) + 1, nullptr);
-  }
-  to_ckr_[static_cast<std::size_t>(q)] = &fifo;
-  for (std::size_t p = 0; p < port_owner_.size(); ++p) {
-    if (port_owner_[p] == q) port_out_[p] = &fifo;
-  }
-}
-
-std::size_t Ckr::CoverPort(int app_port) {
-  if (app_port < 0 || app_port > net::kMaxWirePort) {
-    throw ConfigError(name() + ": application port " +
-                      std::to_string(app_port) +
-                      " does not fit the 8-bit header field");
-  }
-  const std::size_t p = static_cast<std::size_t>(app_port);
-  if (p >= port_out_.size()) {
-    port_out_.resize(p + 1, nullptr);
-    port_owner_.resize(p + 1, kUnknownPort);
-  }
-  return p;
-}
-
-void Ckr::AttachEndpoint(int app_port, PacketFifo& fifo) {
-  const std::size_t p = CoverPort(app_port);
-  port_owner_[p] = kEndpointHere;
-  port_out_[p] = &fifo;
-}
-
-void Ckr::SetPortOwner(int app_port, int owner_ckr) {
-  const std::size_t p = CoverPort(app_port);
-  if (port_owner_[p] == kEndpointHere) return;
-  port_owner_[p] = static_cast<std::int16_t>(owner_ckr);
-  const std::size_t q = static_cast<std::size_t>(owner_ckr);
-  port_out_[p] = q < to_ckr_.size() ? to_ckr_[q] : nullptr;
-}
-
 PacketFifo* Ckr::Route(const net::Packet& pkt) const {
   if (pkt.hdr.dst != local_rank_) {
     // Intermediate hop: hand over to the paired CKS, which owns the
@@ -52,24 +14,22 @@ PacketFifo* Ckr::Route(const net::Packet& pkt) const {
     }
     return to_cks_;
   }
-  const std::size_t port = pkt.hdr.port;
-  if (port >= port_out_.size() || port_out_[port] == nullptr) {
-    ThrowUnroutable(pkt);
-  }
-  return port_out_[port];
-}
-
-void Ckr::ThrowUnroutable(const net::Packet& pkt) const {
-  const std::size_t port = pkt.hdr.port;
-  const int owner =
-      port < port_owner_.size() ? port_owner_[port] : kUnknownPort;
-  if (owner == kUnknownPort) {
+  const int app_port = pkt.hdr.port;
+  const auto ep = endpoints_.find(app_port);
+  if (ep != endpoints_.end()) return ep->second;
+  const auto owner = port_owner_.find(app_port);
+  if (owner == port_owner_.end()) {
     throw ConfigError(name() + ": packet for unknown port " +
-                      std::to_string(pkt.hdr.port) + " (" + pkt.DebugString() +
+                      std::to_string(app_port) + " (" + pkt.DebugString() +
                       ")");
   }
-  throw ConfigError(name() + ": no crossbar output toward CKR " +
-                    std::to_string(owner));
+  const int q = owner->second;
+  if (static_cast<std::size_t>(q) >= to_ckr_.size() ||
+      to_ckr_[static_cast<std::size_t>(q)] == nullptr) {
+    throw ConfigError(name() + ": no crossbar output toward CKR " +
+                      std::to_string(q));
+  }
+  return to_ckr_[static_cast<std::size_t>(q)];
 }
 
 void Ckr::Step(sim::Cycle now) {
@@ -120,7 +80,7 @@ void Ckr::Step(sim::Cycle now) {
   // its port must not fan out here too, or every crossbar hop would
   // duplicate the multicast.
   if (!handlers_.empty() && pkt.hdr.dst == local_rank_ &&
-      port_owner_[pkt.hdr.port] == kEndpointHere) {
+      endpoints_.find(pkt.hdr.port) != endpoints_.end()) {
     const HandlerEntry* fan =
         handlers_.Find(HandlerClass::kFanOut, pkt.hdr.port, pkt.hdr.op);
     if (fan != nullptr) {
@@ -141,9 +101,7 @@ void Ckr::DeclareFifos(sim::FifoRoles& roles) {
   for (const PacketFifo* out : to_ckr_) {
     if (out != nullptr) roles.outputs.push_back(out);
   }
-  for (std::size_t p = 0; p < port_owner_.size(); ++p) {
-    if (port_owner_[p] == kEndpointHere) roles.outputs.push_back(port_out_[p]);
-  }
+  for (const auto& [port, out] : endpoints_) roles.outputs.push_back(out);
 }
 
 void Ckr::AttachObservability(obs::Recorder& recorder) {

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,12 +48,20 @@ class Ckr final : public sim::Component {
   /// --- fabric wiring ---
   void AddInput(PacketFifo& fifo) { arbiter_.AddInput(fifo); }
   void SetPairedCksOutput(PacketFifo& fifo) { to_cks_ = &fifo; }
-  void SetCkrOutput(int q, PacketFifo& fifo);
+  void SetCkrOutput(int q, PacketFifo& fifo) {
+    if (to_ckr_.size() <= static_cast<std::size_t>(q)) {
+      to_ckr_.resize(static_cast<std::size_t>(q) + 1, nullptr);
+    }
+    to_ckr_[static_cast<std::size_t>(q)] = &fifo;
+  }
   /// Application endpoint for `app_port`, connected directly to this CKR.
-  void AttachEndpoint(int app_port, PacketFifo& fifo);
-  /// Declare that `app_port` is owned by the CKR at network port `q`. An
-  /// endpoint attached here takes precedence.
-  void SetPortOwner(int app_port, int owner_ckr);
+  void AttachEndpoint(int app_port, PacketFifo& fifo) {
+    endpoints_[app_port] = &fifo;
+  }
+  /// Declare that `app_port` is owned by the CKR at network port `q`.
+  void SetPortOwner(int app_port, int owner_ckr) {
+    port_owner_[app_port] = owner_ckr;
+  }
 
   /// Install the rank's in-network handler table (validated by the fabric).
   void UploadHandlers(HandlerTable table) { handlers_ = std::move(table); }
@@ -91,31 +100,14 @@ class Ckr final : public sim::Component {
 
  private:
   PacketFifo* Route(const net::Packet& pkt) const;
-  /// Error path of Route for a locally addressed packet without a table
-  /// entry.
-  [[noreturn]] void ThrowUnroutable(const net::Packet& pkt) const;
-
-  /// Grow the per-port tables to cover `app_port` (ConfigError beyond the
-  /// header's 8-bit port field); returns it as an index.
-  std::size_t CoverPort(int app_port);
-
-  /// `port_owner_` entry of a port with an endpoint on this CKR, and of an
-  /// unknown port.
-  static constexpr std::int16_t kEndpointHere = -1;
-  static constexpr std::int16_t kUnknownPort = -2;
 
   int local_rank_;
   int port_index_;
   PollingArbiter arbiter_;
   PacketFifo* to_cks_ = nullptr;
   std::vector<PacketFifo*> to_ckr_;
-  /// Per application port, up to the highest one wired: the endpoint FIFO,
-  /// or the crossbar FIFO toward the CKR that owns the port; null while
-  /// unknown or unwired.
-  std::vector<PacketFifo*> port_out_;
-  /// Per application port: the owning CKR's network port, kEndpointHere or
-  /// kUnknownPort (wiring and error messages only).
-  std::vector<std::int16_t> port_owner_;
+  std::map<int, PacketFifo*> endpoints_;
+  std::map<int, int> port_owner_;
   HandlerTable handlers_;
   /// The full output the latched packet stalled on in the last Step (see
   /// Cks::stall_out_); a CKR's routes and fan-out never change a retry.

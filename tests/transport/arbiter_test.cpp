@@ -248,10 +248,16 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
   // answer after each step (PollsUntilData, or sleep while stalled) and the
   // O(1) push answers (WakeForPush); when its stalled output regains
   // room (the output pop's re-ask); and on drain cycles (a CK is due every
-  // cycle while a queue waits). An arbiter that never polled is covered by
-  // NeverPolledArbiterMustStepOnAnyData. Grants must agree wherever `sleeping`
+  // cycle while a queue waits). Grants must agree wherever `sleeping`
   // steps, every cycle it sleeps must be an empty poll or a stalled retry
   // for `stepped`, and the counters must agree at the end.
+  //
+  // For odd R the run starts late: before cycle `start` neither copy
+  // selects, as before a CK's first step, while its top R inputs fill. An
+  // arbiter that never polled has no pointer history to replay, so it must
+  // step as soon as any input holds data: a push answers the next cycle
+  // and PollsUntilData is 0 or never. With N = 65 and R = 1 the data sits
+  // in the second mask word alone.
   std::mt19937_64 rng(0x5eed);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   const double push_rates[] = {0.01, 0.08, 0.4};
@@ -259,6 +265,7 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
   const double full_rates[] = {0.0, 0.3, 0.8};
   constexpr sim::Cycle kCycles = 160;
   std::uint64_t found = 0, never = 0, skipped_polls = 0, slept_retries = 0;
+  std::uint64_t unpolled_data = 0, unpolled_empty = 0;
   for (int n = 1; n <= 65; ++n) {
     for (int r = 1; r <= 8; ++r) {
       const double push_rate = push_rates[(n + r) % 3];
@@ -266,11 +273,41 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
       const double full_rate = full_rates[(n + 2 * r) % 3];
       CkModel stepped(n, r);
       CkModel sleeping(n, r);
-      sim::Cycle wake = 0;  // the engine schedules every CK at run start
+      const sim::Cycle start = r % 2 == 1 ? 1 + rng() % 40 : 0;
+      std::vector<std::size_t> pushed;
+      for (sim::Cycle now = 0; now < start; ++now) {
+        pushed.clear();
+        for (int i = std::max(0, n - r); i < n; ++i) {
+          PacketFifo& a = *stepped.fifos[static_cast<std::size_t>(i)];
+          PacketFifo& b = *sleeping.fifos[static_cast<std::size_t>(i)];
+          if (coin(rng) < 0.1 && a.CanPush(now)) {
+            a.Push(DataPacket(0), now);
+            b.Push(DataPacket(0), now);
+            pushed.push_back(static_cast<std::size_t>(i));
+          }
+        }
+        for (auto& f : stepped.fifos) f->Commit(now);
+        for (auto& f : sleeping.fifos) f->Commit(now);
+        for (const std::size_t slot : pushed) {
+          stepped.arb.MarkHasData(slot);
+          ASSERT_EQ(sleeping.arb.WakeForPush(slot, now), now + 1)
+              << "n=" << n << " r=" << r << " now=" << now;
+        }
+        bool any = false;
+        for (auto& f : stepped.fifos) any |= f->occupancy() > 0;
+        const sim::Cycle want = any ? 0 : sim::kNeverCycle;
+        ASSERT_EQ(stepped.arb.PollsUntilData(now), want)
+            << "n=" << n << " r=" << r << " now=" << now;
+        ASSERT_EQ(sleeping.arb.PollsUntilData(now), want)
+            << "n=" << n << " r=" << r << " now=" << now;
+        ++(any ? unpolled_data : unpolled_empty);
+      }
+      // The engine rebuilds the mask from occupancy when the run starts.
+      sleeping.arb.ResyncHasData();
+      sim::Cycle wake = start;  // the engine schedules every CK at run start
       bool stall_sleep = false;
       bool output_full = false;
-      std::vector<std::size_t> pushed;
-      for (sim::Cycle now = 0; now < kCycles; ++now) {
+      for (sim::Cycle now = start; now < kCycles; ++now) {
         pushed.clear();
         for (int i = 0; i < n; ++i) {
           PacketFifo& a = *stepped.fifos[static_cast<std::size_t>(i)];
@@ -285,7 +322,7 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
         if (coin(rng) < 0.25) output_full = coin(rng) < full_rate;
         // Every CK steps, and so polls, at the first cycle of a run; queues
         // to drain only fill later.
-        const bool drain = now > 0 && coin(rng) < drain_rate;
+        const bool drain = now > start && coin(rng) < drain_rate;
 
         const auto want = stepped.Step(now, output_full, drain);
         // A stalled CK wakes once the output has room (a pop freed it).
@@ -351,11 +388,14 @@ TEST(PollingArbiter, PollsUntilDataMatchesCycleByCycleStepping) {
       EXPECT_EQ(sleeping.counters.bursts, stepped.counters.bursts) << where;
     }
   }
-  // Answers, real skips and slept stalls were all exercised.
+  // Answers, real skips, slept stalls and both never-polled answers were
+  // all exercised.
   EXPECT_GT(found, 1000u);
   EXPECT_GT(never, 1000u);
   EXPECT_GT(skipped_polls, 10000u);
   EXPECT_GT(slept_retries, 1000u);
+  EXPECT_GT(unpolled_data, 1000u);
+  EXPECT_GT(unpolled_empty, 500u);
 }
 
 TEST(PollingArbiter, PollsUntilDataWithoutInputsIsNever) {
