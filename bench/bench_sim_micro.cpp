@@ -229,15 +229,35 @@ void BM_RouteGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteGeneration)->Arg(8)->Arg(16)->Arg(32);
 
+// The CDG check on a 4x4 torus with up*/down* routes (hosts:16) and on
+// the 256-host fat-tree with minimal-adaptive routes (hosts:256).
 void BM_DeadlockCheck(benchmark::State& state) {
-  const net::Topology topo = net::Topology::Torus2D(4, 4);
-  const net::RoutingTable routes =
-      net::ComputeRoutes(topo, net::RoutingScheme::kUpDown);
+  const bool fat_tree = state.range(0) == 256;
+  const net::Topology topo = fat_tree ? net::Topology::FatTree(8, 32, 8)
+                                      : net::Topology::Torus2D(4, 4);
+  const net::RoutingTable routes = net::ComputeRoutes(
+      topo, fat_tree ? net::RoutingScheme::kMinimalAdaptive
+                     : net::RoutingScheme::kUpDown,
+      /*seed=*/1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::IsDeadlockFree(topo, routes));
   }
 }
-BENCHMARK(BM_DeadlockCheck);
+BENCHMARK(BM_DeadlockCheck)->Arg(16)->Arg(256)->ArgName("hosts");
+
+// Cluster set-up alone (routes, CDG check, fabric, contexts) on the
+// 256-host fat-tree of smibench's fat_tree_256 workload.
+void BM_ClusterBuild(benchmark::State& state) {
+  const net::Topology topo = net::Topology::FatTree(8, 32, 8);
+  core::ClusterConfig config;
+  config.routing = net::RoutingScheme::kMinimalAdaptive;
+  config.routing_seed = 1;
+  for (auto _ : state) {
+    core::Cluster cluster(topo, bench::P2pSpec(), config);
+    benchmark::DoNotOptimize(&cluster);
+  }
+}
+BENCHMARK(BM_ClusterBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

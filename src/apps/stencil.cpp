@@ -1,5 +1,7 @@
 #include "apps/stencil.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <random>
 
@@ -166,9 +168,15 @@ Kernel ComputeKernel(RankState& st, int timesteps) {
       next_stream = (next_stream + 1) % banks;
     }
     // Interior cells depend only on local data: computed behind the stream.
-    for (int i = 1; i + 1 < st.nx; ++i) {
-      for (int j = 1; j + 1 < st.ny; ++j) {
-        st.Set(st.next, i, j, st.Stencil(i, j));
+    // Same expression and operand order as Stencil(), on row pointers.
+    const std::size_t row = static_cast<std::size_t>(st.ny);
+    for (std::size_t i = 1; i + 1 < static_cast<std::size_t>(st.nx); ++i) {
+      const float* up = st.cur.data() + (i - 1) * row;
+      const float* mid = up + row;
+      const float* down = mid + row;
+      float* out = st.next.data() + i * row;
+      for (std::size_t j = 1; j + 1 < row; ++j) {
+        out[j] = 0.25f * (up[j] + down[j] + mid[j - 1] + mid[j + 1]);
       }
     }
     // Boundary cells need the halos.
@@ -192,6 +200,14 @@ Kernel ComputeKernel(RankState& st, int timesteps) {
     }
     st.cur.swap(st.next);
   }
+}
+
+/// Offset in the global grid of row `i` of `st`'s block.
+std::size_t BlockRowOffset(const StencilConfig& config, const RankState& st,
+                           int i) {
+  const auto gi = static_cast<std::size_t>(st.pos_x * st.nx + i);
+  const auto gj = static_cast<std::size_t>(st.pos_y * st.ny);
+  return gi * static_cast<std::size_t>(config.ny_global) + gj;
 }
 
 }  // namespace
@@ -261,16 +277,11 @@ StencilResult RunStencilSmi(const StencilConfig& config) {
     for (int d = 0; d < 4; ++d) {
       st->halo[d].assign(static_cast<std::size_t>(st->EdgeCount(d)), 0.0f);
     }
-    // Scatter the rank's block out of the global grid.
+    // Scatter the rank's block out of the global grid, a row at a time.
     for (int i = 0; i < nx; ++i) {
-      for (int j = 0; j < ny; ++j) {
-        const std::size_t gi =
-            static_cast<std::size_t>(st->pos_x * nx + i);
-        const std::size_t gj =
-            static_cast<std::size_t>(st->pos_y * ny + j);
-        st->Set(st->cur, i, j,
-                global[gi * static_cast<std::size_t>(config.ny_global) + gj]);
-      }
+      const float* from = global.data() + BlockRowOffset(config, *st, i);
+      std::copy(from, from + ny,
+                st->cur.begin() + static_cast<std::ptrdiff_t>(i) * ny);
     }
 
     // DRAM stream and kernel-handshake FIFOs are rank-local.
@@ -319,17 +330,15 @@ StencilResult RunStencilSmi(const StencilConfig& config) {
   result.run = cluster.Run();
   result.telemetry = cluster.CaptureTelemetry();
 
-  // Gather the final global grid.
+  // Gather the final global grid, a row at a time.
   result.grid.resize(global.size());
   for (int r = 0; r < ranks; ++r) {
     const RankState& st = *states[static_cast<std::size_t>(r)];
     for (int i = 0; i < nx; ++i) {
-      for (int j = 0; j < ny; ++j) {
-        const std::size_t gi = static_cast<std::size_t>(st.pos_x * nx + i);
-        const std::size_t gj = static_cast<std::size_t>(st.pos_y * ny + j);
-        result.grid[gi * static_cast<std::size_t>(config.ny_global) + gj] =
-            st.At(i, j);
-      }
+      const auto from = st.cur.begin() + static_cast<std::ptrdiff_t>(i) * ny;
+      std::copy(from, from + ny,
+                result.grid.begin() + static_cast<std::ptrdiff_t>(
+                                          BlockRowOffset(config, st, i)));
     }
   }
   return result;

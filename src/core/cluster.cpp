@@ -73,11 +73,12 @@ void Cluster::Build(const net::Topology& topology,
   // per-rank clock pointers and the support kernels inside the rank's
   // partition under the parallel scheduler.
   contexts_.resize(static_cast<std::size_t>(num_ranks_));
+  const Communicator world = Communicator::World(num_ranks_);
   for (int r = 0; r < num_ranks_; ++r) {
     engine_->SetPartitionTag(r);
     Context& ctx = contexts_[static_cast<std::size_t>(r)];
     ctx.rank_ = r;
-    ctx.world_ = Communicator::World(num_ranks_);
+    ctx.world_ = world;
     ctx.fabric_ = fabric_.get();
     ctx.now_ = engine_->now_ptr();
 

@@ -1,7 +1,6 @@
 #include "core/comm.h"
 
 #include <algorithm>
-#include <set>
 
 namespace smi::core {
 
@@ -17,13 +16,18 @@ Communicator::Communicator(std::vector<int> global_ranks)
   if (global_ranks_.empty()) {
     throw ConfigError("communicator cannot be empty");
   }
-  std::set<int> seen;
+  // Global ranks are fabric ranks, numbered densely from 0, so a
+  // seen-vector indexed by rank stays as small as the world.
+  std::vector<bool> seen;
   for (const int r : global_ranks_) {
     if (r < 0) throw ConfigError("negative rank in communicator");
-    if (!seen.insert(r).second) {
+    const auto i = static_cast<std::size_t>(r);
+    if (i >= seen.size()) seen.resize(std::max(i + 1, 2 * seen.size()));
+    if (seen[i]) {
       throw ConfigError("duplicate rank " + std::to_string(r) +
                         " in communicator");
     }
+    seen[i] = true;
   }
 }
 

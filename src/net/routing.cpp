@@ -4,7 +4,6 @@
 #include <array>
 #include <numeric>
 #include <queue>
-#include <unordered_set>
 
 #include "common/error.h"
 
@@ -481,15 +480,24 @@ bool IsDeadlockFree(const Topology& topo, const RoutingTable& routes) {
   // Channels are directed cable traversals, identified by the sending
   // (rank, port). Build dependency edges: for every route, consecutive
   // channel uses depend on each other.
+  //
+  // Routes are destination-based: the channel a packet for `dst` leaves
+  // rank `at` on depends only on (at, dst), so every walk that reaches
+  // (at, dst) continues along the same suffix. Each (at, dst) pair is
+  // therefore walked once: `reached` holds the 1-based source whose walk
+  // first reached it. A walk that meets a pair stamped by an earlier source
+  // adds the edge into it and stops, because that source already walked
+  // (and added) the rest without error; a walk that meets its own stamp is
+  // going round in a circle. The check costs O(n^2) table lookups instead
+  // of O(n^2 * path length).
   const int n = topo.num_ranks();
   const int p = topo.ports_per_rank();
   const int channels = n * p;
   std::vector<std::vector<int>> deps(static_cast<std::size_t>(channels));
+  std::vector<int> reached(static_cast<std::size_t>(n) *
+                               static_cast<std::size_t>(n),
+                           0);
   const auto chan_id = [p](int rank, int port) { return rank * p + port; };
-  // Dedup dependency edges: many (src, dst) pairs traverse the same channel
-  // pair, and without dedup the CDG grows O(n^2 * path) instead of
-  // O(channels * degree) — prohibitive at 512 ranks.
-  std::unordered_set<std::uint64_t> seen_edges;
 
   for (int src = 0; src < n; ++src) {
     // Traffic originates and terminates only at compute ranks: switch ranks
@@ -499,15 +507,18 @@ bool IsDeadlockFree(const Topology& topo, const RoutingTable& routes) {
     // back up — a down->up edge that would close a cycle with the ordinary
     // up-then-down traffic even though no such packet can ever exist.)
     if (topo.is_switch(src)) continue;
+    const int stamp = src + 1;
     for (int dst = 0; dst < n; ++dst) {
       if (src == dst || topo.is_switch(dst)) continue;
       int at = src;
       int prev_chan = -1;
-      int hops = 0;
       while (at != dst) {
+        int& first = reached[static_cast<std::size_t>(at) *
+                                 static_cast<std::size_t>(n) +
+                             static_cast<std::size_t>(dst)];
         // Same guard as Path(): a structurally valid table can still walk a
-        // packet in a circle; without the bound this loop never exits.
-        if (++hops > n) {
+        // packet in a circle; without it this loop never exits.
+        if (first == stamp) {
           throw RoutingError("routing loop detected from rank " +
                              std::to_string(src) + " to rank " +
                              std::to_string(dst));
@@ -519,14 +530,15 @@ bool IsDeadlockFree(const Topology& topo, const RoutingTable& routes) {
         }
         const int cur_chan = chan_id(at, port);
         if (prev_chan != -1) {
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(prev_chan))
-               << 32) |
-              static_cast<std::uint32_t>(cur_chan);
-          if (seen_edges.insert(key).second) {
-            deps[static_cast<std::size_t>(prev_chan)].push_back(cur_chan);
+          // Dedup dependency edges: a channel's out-degree is at most the
+          // ports of the rank it leads to, so a linear scan suffices.
+          std::vector<int>& out = deps[static_cast<std::size_t>(prev_chan)];
+          if (std::find(out.begin(), out.end(), cur_chan) == out.end()) {
+            out.push_back(cur_chan);
           }
         }
+        if (first != 0) break;
+        first = stamp;
         prev_chan = cur_chan;
         at = topo.Peer(PortId{at, port})->rank;
       }

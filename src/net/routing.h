@@ -106,7 +106,9 @@ RoutingTable ComputeRoutes(const Topology& topo, RoutingScheme scheme,
 /// for cycles. Channels are directed cable traversals; an edge connects two
 /// channels used consecutively by some route (deduplicated, so the CDG
 /// stays O(channels * degree) regardless of how many rank pairs share a
-/// channel pair). Acyclicity implies freedom from routing-induced deadlock
+/// channel pair). Routes are destination-based, so each (rank, destination)
+/// pair is walked once and the check costs O(ranks^2) table lookups plus
+/// the DFS. Acyclicity implies freedom from routing-induced deadlock
 /// (Dally & Seitz). Only compute-to-compute routes contribute edges:
 /// switch ranks are forwarding-only, so no packet is ever injected at or
 /// addressed to one, and their table entries are dead. Throws RoutingError

@@ -18,6 +18,11 @@
 ///  2. *Port limits*: a FIFO has one write port and one read port; at most
 ///     one push and one pop can be accepted per cycle. This is what enforces
 ///     initiation interval 1 on the kernels that use it.
+///
+/// A FIFO's ring storage is allocated by its first push, not at
+/// construction. A fabric creates every crossbar edge and link interface
+/// FIFO of every rank up front (~36k on a 296-rank fat-tree), and only the
+/// ones that traffic actually crosses (~2k there) ever hold an element.
 
 #include <algorithm>
 #include <cstdint>
@@ -179,20 +184,19 @@ class FifoBase {
 };
 
 /// Typed hardware FIFO. Storage is a power-of-two ring buffer sized to the
-/// configured capacity.
+/// configured capacity, allocated by the first push.
 template <typename T>
 class Fifo final : public FifoBase {
  public:
   Fifo(std::string name, std::size_t capacity)
-      : FifoBase(std::move(name), capacity), mask_(RingSize(capacity) - 1) {
-    ring_.resize(RingSize(capacity));
-  }
+      : FifoBase(std::move(name), capacity), mask_(RingSize(capacity) - 1) {}
 
   /// Push `value`; the caller must have checked CanPush(now).
   void Push(const T& value, Cycle now) {
     if (!CanPush(now)) {
       throw ConfigError("push on full/busy FIFO: " + name());
     }
+    EnsureRing();
     ring_[static_cast<std::size_t>(tail_) & mask_] = value;
     RecordPush(now);
   }
@@ -222,6 +226,7 @@ class Fifo final : public FifoBase {
     if (ModeledPushBudget() == 0) {
       throw ConfigError("modeled push on full FIFO: " + name());
     }
+    EnsureRing();
     ring_[static_cast<std::size_t>(tail_) & mask_] = value;
     RecordPush(now);
   }
@@ -243,6 +248,7 @@ class Fifo final : public FifoBase {
     if (ModeledPushBudget() < n) {
       throw ConfigError("modeled bulk push overflows FIFO: " + name());
     }
+    EnsureRing();
     const std::size_t pos = static_cast<std::size_t>(tail_) & mask_;
     const std::size_t first = std::min(n, ring_.size() - pos);
     std::move(data, data + first, ring_.begin() + pos);
@@ -280,6 +286,10 @@ class Fifo final : public FifoBase {
     std::size_t n = 1;
     while (n < capacity) n <<= 1;
     return n;
+  }
+  /// Every pop, peek and drain follows a push, so only pushes allocate.
+  void EnsureRing() {
+    if (ring_.empty()) [[unlikely]] ring_.resize(mask_ + 1);
   }
 
   std::vector<T> ring_;

@@ -1,6 +1,7 @@
 #include "transport/fabric.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -8,10 +9,15 @@ namespace smi::transport {
 
 namespace {
 
-std::string FifoName(const std::string& kind, int rank, int a, int b = -1) {
-  std::string name = kind + ".r" + std::to_string(rank) + "." +
-                     std::to_string(a);
-  if (b >= 0) name += "->" + std::to_string(b);
+/// "<kind>.r<rank>.<a>" or "<kind>.r<rank>.<a>-><b>", built in one reserved
+/// string (a fat-tree fabric names tens of thousands of FIFOs; the short
+/// number strings stay in their small-string buffers).
+std::string FifoName(std::string_view kind, int rank, int a, int b = -1) {
+  std::string name;
+  name.reserve(kind.size() + 24);
+  name.append(kind).append(".r").append(std::to_string(rank));
+  name.append(".").append(std::to_string(a));
+  if (b >= 0) name.append("->").append(std::to_string(b));
   return name;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace smi::core {
 namespace {
 
@@ -32,6 +34,33 @@ TEST(Communicator, RejectsInvalid) {
   EXPECT_THROW(Communicator({1, 1}), ConfigError);
   EXPECT_THROW(Communicator({-2}), ConfigError);
   EXPECT_THROW(Communicator::World(0), ConfigError);
+}
+
+/// Message of the ConfigError `make` throws, or "" if it throws none.
+template <typename Make>
+std::string ErrorOf(Make make) {
+  try {
+    make();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Communicator, ErrorsNameTheFirstBadEntryInListOrder) {
+  // The first repeated value in list order, not the smallest or the last.
+  EXPECT_EQ(ErrorOf([] { Communicator({0, 5, 2, 5, 2}); }),
+            "duplicate rank 5 in communicator");
+  EXPECT_EQ(ErrorOf([] { Communicator({9, 3, 9}); }),
+            "duplicate rank 9 in communicator");
+  // A negative rank has its own error, whichever comes first wins.
+  EXPECT_EQ(ErrorOf([] { Communicator({0, -1, 0}); }),
+            "negative rank in communicator");
+  EXPECT_EQ(ErrorOf([] { Communicator({4, 4, -1}); }),
+            "duplicate rank 4 in communicator");
+  EXPECT_EQ(ErrorOf([] { Communicator({4000, 0, 4000}); }),
+            "duplicate rank 4000 in communicator");
+  EXPECT_EQ(ErrorOf([] { Communicator({7, 0, 3}); }), "");
 }
 
 TEST(Communicator, Subset) {

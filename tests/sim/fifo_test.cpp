@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.h"
 
 namespace smi::sim {
@@ -176,6 +179,84 @@ TEST(Fifo, NonPowerOfTwoCapacityWrapsCorrectly) {
     ++now;
   }
   EXPECT_GT(next_pop, 10);
+}
+
+// Storage is allocated by the first push. Whichever push comes first, the
+// FIFO must then behave as one whose ring existed from the start: the
+// values come out in order across several wraps of a non-power-of-two
+// capacity, budgets and occupancy track every operation, and a drain
+// returns what is left.
+TEST(Fifo, AnyKindOfFirstPushBehavesAsBefore) {
+  enum class First { kPush, kPushModeled, kPushBulkModeled };
+  for (const First first :
+       {First::kPush, First::kPushModeled, First::kPushBulkModeled}) {
+    Fifo<int> f("f", 5);
+    int next_push = 0;
+    int next_pop = 0;
+    Cycle now = 0;
+    switch (first) {
+      case First::kPush:
+        f.Push(next_push++, now);
+        break;
+      case First::kPushModeled:
+        f.PushModeled(next_push++, now);
+        f.PushModeled(next_push++, now);
+        break;
+      case First::kPushBulkModeled: {
+        int three[] = {0, 1, 2};
+        f.PushBulkModeled(three, 3, now);
+        next_push = 3;
+        break;
+      }
+    }
+    EXPECT_EQ(f.occupancy(), static_cast<std::size_t>(next_push));
+    EXPECT_EQ(f.ModeledPopBudget(), 0u);  // staged, not yet committed
+    f.Commit(now++);
+    EXPECT_EQ(f.ModeledPopBudget(), static_cast<std::uint64_t>(next_push));
+    EXPECT_EQ(f.Front(now), 0);
+    for (int round = 0; round < 24; ++round) {
+      if (round % 4 == 3) {
+        // A bulk round trip that straddles the end of the 8-slot ring.
+        int out[5];
+        const auto n = static_cast<std::size_t>(f.ModeledPopBudget());
+        f.PopBulkModeled(out, n, now);
+        for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(out[k], next_pop++);
+        int in[5];
+        const auto m = static_cast<std::size_t>(f.ModeledPushBudget());
+        for (std::size_t k = 0; k < m; ++k) in[k] = next_push++;
+        f.PushBulkModeled(in, m, now);
+      } else {
+        if (f.CanPush(now)) f.Push(next_push++, now);
+        if (f.CanPop(now)) EXPECT_EQ(f.Pop(now), next_pop++);
+      }
+      f.Commit(now++);
+      EXPECT_EQ(f.occupancy(), static_cast<std::size_t>(next_push - next_pop));
+    }
+    EXPECT_GT(next_pop, 16);  // the ring wrapped more than twice
+    EXPECT_EQ(f.total_pushes(), static_cast<std::uint64_t>(next_push));
+    const std::vector<int> rest = f.DrainAll(now);
+    ASSERT_EQ(rest.size(), static_cast<std::size_t>(next_push - next_pop));
+    for (const int v : rest) EXPECT_EQ(v, next_pop++);
+    EXPECT_EQ(f.occupancy(), 0u);
+  }
+}
+
+TEST(Fifo, NeverPushedFifoDrainsNothingAndRejectsReads) {
+  Fifo<int> f("f", 4);
+  EXPECT_TRUE(f.DrainAll(0).empty());
+  EXPECT_EQ(f.total_pops(), 0u);
+  EXPECT_FALSE(f.push_staged() || f.pop_staged());
+  EXPECT_THROW(f.Pop(0), ConfigError);
+  EXPECT_THROW(f.Front(0), ConfigError);
+  EXPECT_THROW(f.PopModeled(0), ConfigError);
+  int out[1];
+  EXPECT_THROW(f.PopBulkModeled(out, 1, 0), ConfigError);
+  f.PopBulkModeled(out, 0, 0);  // an empty bulk pop is a no-op
+  EXPECT_EQ(f.ModeledPushBudget(), 4u);
+  // It still works once something arrives.
+  f.Push(9, 1);
+  f.Commit(1);
+  EXPECT_EQ(f.Pop(2), 9);
 }
 
 }  // namespace
