@@ -14,7 +14,8 @@
 /// non-root roles both use the same call sequence where the paper defines
 /// one (Bcast, Reduce), and the documented asymmetric sequences for Scatter
 /// and Gather (the root streams count*comm_size elements, non-roots stream
-/// count).
+/// count). Every primitive is one element call (detail::CollAwaitable):
+/// StepOf says whether the call pushes, pops, or both.
 
 #include <string>
 
@@ -25,8 +26,37 @@
 
 namespace smi::core {
 
-/// Base for all collective channels: owns the config token and the FIFOs to
-/// the support kernel.
+namespace detail {
+template <typename T> struct CollAwaitable;
+}  // namespace detail
+
+/// What one collective call does at one rank: push the rank's element to
+/// the support kernel, pop a result from it, or both.
+struct CollStep {
+  bool push = false;
+  bool pop = false;
+};
+
+/// The one rule behind every collective call: call `call` of communicator
+/// rank `me` pushes if the rank contributes to it and pops if it receives
+/// one. A Scatter/Gather root makes count*comm_size calls in rank order, so
+/// its own segment is the window call / count == root.
+inline CollStep StepOf(const CollConfig& cfg, int me, int call) {
+  const bool root = me == cfg.root_comm;
+  const bool own_window =
+      root && cfg.count > 0 && call / cfg.count == cfg.root_comm;
+  switch (cfg.kind) {
+    case CollKind::kBcast: return {root, !root};
+    case CollKind::kReduce: return {true, root};
+    case CollKind::kAllreduce: return {true, true};
+    case CollKind::kScatter: return {root, !root || own_window};
+    case CollKind::kGather: return {!root || own_window, root};
+  }
+  return {};
+}
+
+/// Base for all collective channels: owns the config token, the FIFOs to
+/// the support kernel and the call counter that StepOf reads.
 class CollChannelBase {
  public:
   CollChannelBase(CollConfig config, int my_global, TokenFifo& app_in,
@@ -52,6 +82,7 @@ class CollChannelBase {
   }
 
   bool is_root() const { return my_comm_ == config_.root_comm; }
+  CollKind kind() const { return config_.kind; }
   int count() const { return config_.count; }
   DataType type() const { return config_.type; }
   int comm_size() const {
@@ -59,6 +90,39 @@ class CollChannelBase {
   }
   int my_comm_rank() const { return my_comm_; }
   int root_comm_rank() const { return config_.root_comm; }
+  /// Calls completed so far, and calls the channel accepts: count, or
+  /// count*comm_size at a Scatter/Gather root.
+  int calls() const { return calls_; }
+  int total_calls() const {
+    const bool all_segments =
+        is_root() && (config_.kind == CollKind::kScatter ||
+                      config_.kind == CollKind::kGather);
+    return all_segments ? config_.count * comm_size() : config_.count;
+  }
+
+  /// The generic collective call every primitive below forwards to: pushes
+  /// *snd if this call contributes, pops into *rcv if it receives (StepOf).
+  /// Throws ConfigError past total_calls() and on a null pointer the call
+  /// would read or write.
+  template <typename T>
+  detail::CollAwaitable<T> Call(const T* snd, T* rcv) {
+    CheckType<T>();
+    if (calls_ >= total_calls()) {
+      throw ConfigError(std::string("SMI_") + CollKindName(config_.kind) +
+                        " beyond the declared count (" +
+                        std::to_string(total_calls()) + " calls)");
+    }
+    return detail::CollAwaitable<T>(this, snd, rcv);
+  }
+
+  /// "SMI_Reduce (root, call 3/5, awaiting result)": the deadlock-report
+  /// line of the call in progress.
+  std::string Describe(const char* phase) const {
+    return std::string("SMI_") + CollKindName(config_.kind) + " (" +
+           (is_root() ? "root" : "non-root") + ", call " +
+           std::to_string(calls_ + 1) + "/" + std::to_string(total_calls()) +
+           ", " + phase + ")";
+  }
 
   /// Push the config token if not yet announced; returns false while the
   /// FIFO cannot accept it this cycle.
@@ -76,6 +140,8 @@ class CollChannelBase {
   const TokenFifo& app_out() const { return *app_out_; }
 
  protected:
+  template <typename T> friend struct detail::CollAwaitable;
+
   template <typename T>
   void CheckType() const {
     if (DataTypeOf<T>::value != config_.type) {
@@ -101,30 +167,18 @@ class CollChannelBase {
   int calls_ = 0;
 };
 
-namespace detail {
-template <typename T> struct BcastAwaitable;
-template <typename T> struct ReduceAwaitable;
-template <typename T> struct ScatterAwaitable;
-template <typename T> struct GatherAwaitable;
-template <typename T> struct AllreduceAwaitable;
-}  // namespace detail
-
 /// SMI_BChannel: the root streams `count` elements to every other rank in
 /// the communicator; every rank calls Bcast exactly `count` times.
 class BcastChannel : public CollChannelBase {
  public:
   using CollChannelBase::CollChannelBase;
 
-  /// SMI_Bcast: the root pushes *data toward the other ranks; non-roots
-  /// receive into *data.
+  /// SMI_Bcast: the root pushes data toward the other ranks; non-roots
+  /// receive into data.
   template <typename T>
-  detail::BcastAwaitable<T> Bcast(T& data) {
-    CheckType<T>();
-    return detail::BcastAwaitable<T>(this, &data);
+  detail::CollAwaitable<T> Bcast(T& data) {
+    return Call<T>(&data, &data);
   }
-
- private:
-  template <typename T> friend struct detail::BcastAwaitable;
 };
 
 /// SMI_RChannel: every rank contributes `count` elements; the reduced
@@ -134,56 +188,45 @@ class ReduceChannel : public CollChannelBase {
   using CollChannelBase::CollChannelBase;
   ReduceOp op() const { return config_.op; }
 
-  /// SMI_Reduce: sends *data_snd; at the root, *data_rcv receives the
-  /// element-wise reduction across all ranks. Non-roots leave *data_rcv
+  /// SMI_Reduce: sends data_snd; at the root, data_rcv receives the
+  /// element-wise reduction across all ranks. Non-roots leave data_rcv
   /// untouched.
   template <typename T>
-  detail::ReduceAwaitable<T> Reduce(const T& data_snd, T& data_rcv) {
-    CheckType<T>();
-    return detail::ReduceAwaitable<T>(this, data_snd, &data_rcv);
+  detail::CollAwaitable<T> Reduce(const T& data_snd, T& data_rcv) {
+    return Call<T>(&data_snd, &data_rcv);
   }
-
- private:
-  template <typename T> friend struct detail::ReduceAwaitable;
 };
 
 /// Scatter: the root streams count*comm_size elements (its own segment
 /// loops back); non-roots receive count elements.
-///  * root:     count*comm_size calls; rcv is written (returns true) during
-///              the root's own segment window;
+///  * root:     count*comm_size calls; snd must point to the element; rcv is
+///              written (returns true) during the root's own segment window;
 ///  * non-root: count calls; snd is ignored, rcv always written.
 class ScatterChannel : public CollChannelBase {
  public:
   using CollChannelBase::CollChannelBase;
 
   template <typename T>
-  detail::ScatterAwaitable<T> Scatter(const T* snd, T& rcv) {
-    CheckType<T>();
-    return detail::ScatterAwaitable<T>(this, snd, &rcv);
+  detail::CollAwaitable<T> Scatter(const T* snd, T& rcv) {
+    return Call<T>(snd, &rcv);
   }
-
- private:
-  template <typename T> friend struct detail::ScatterAwaitable;
 };
 
 /// Gather: non-roots stream count elements to the root; the root receives
 /// count*comm_size elements in communicator rank order (its own segment is
 /// supplied via snd during its window).
 ///  * root:     count*comm_size calls; snd consumed during the root window;
-///              rcv always written (returns true);
+///              rcv must point to the element and is always written (returns
+///              true);
 ///  * non-root: count calls; rcv untouched (returns false).
 class GatherChannel : public CollChannelBase {
  public:
   using CollChannelBase::CollChannelBase;
 
   template <typename T>
-  detail::GatherAwaitable<T> Gather(const T& snd, T* rcv) {
-    CheckType<T>();
-    return detail::GatherAwaitable<T>(this, snd, rcv);
+  detail::CollAwaitable<T> Gather(const T& snd, T* rcv) {
+    return Call<T>(&snd, rcv);
   }
-
- private:
-  template <typename T> friend struct detail::GatherAwaitable;
 };
 
 /// Allreduce: every rank contributes `count` elements and every rank
@@ -194,229 +237,69 @@ class AllreduceChannel : public CollChannelBase {
   using CollChannelBase::CollChannelBase;
   ReduceOp op() const { return config_.op; }
 
-  /// Sends data_snd; *data_rcv receives the element-wise reduction across
+  /// Sends data_snd; data_rcv receives the element-wise reduction across
   /// all ranks (written on every rank, unlike Reduce).
   template <typename T>
-  detail::AllreduceAwaitable<T> Allreduce(const T& data_snd, T& data_rcv) {
-    CheckType<T>();
-    return detail::AllreduceAwaitable<T>(this, data_snd, &data_rcv);
+  detail::CollAwaitable<T> Allreduce(const T& data_snd, T& data_rcv) {
+    return Call<T>(&data_snd, &data_rcv);
   }
-
- private:
-  template <typename T> friend struct detail::AllreduceAwaitable;
 };
-
-// ---------------------------------------------------------------------------
-// Awaitables
-// ---------------------------------------------------------------------------
 
 namespace detail {
 
-/// Wake-hint mixin shared by the collective awaitables: every failure path
-/// in their TryComplete is a CanPush on app_in or a CanPop on app_out, so
+/// The element awaitable of every collective call: announce the channel
+/// (config token), push the element if StepOf says so, pop the result if it
+/// says so. Every failure is a CanPush on app_in or a CanPop on app_out, so
 /// watching those two FIFOs is sufficient and no timed poll is needed.
-template <typename Channel>
-struct CollWakeHints {
-  static void Watch(Channel* chan,
-                    std::vector<const sim::FifoBase*>& out) {
-    out.push_back(&chan->app_in());
-    out.push_back(&chan->app_out());
-  }
-};
-
 template <typename T>
-struct BcastAwaitable final : sim::detail::AwaitableBase<BcastAwaitable<T>> {
-  BcastAwaitable(BcastChannel* c, T* d) : chan(c), data(d) {}
-  BcastChannel* chan;
-  T* data;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(*data)), now);
-    } else {
-      if (!chan->app_out().CanPop(now)) return false;
-      *data = chan->PopElement(now).As<T>();
+struct CollAwaitable final : sim::detail::AwaitableBase<CollAwaitable<T>> {
+  CollAwaitable(CollChannelBase* c, const T* s, T* r)
+      : chan(c), step(StepOf(c->config_, c->my_comm_, c->calls_)), rcv(r) {
+    if (step.push && s == nullptr) {
+      throw ConfigError(chan->Describe("sending") + ": null send element");
     }
-    ++chan->calls_;
-    return true;
+    if (step.pop && r == nullptr) {
+      throw ConfigError(chan->Describe("receiving") +
+                        ": null receive element");
+    }
+    if (step.push) snd = *s;
   }
-  std::string Describe() const override {
-    return std::string("SMI_Bcast (") + (chan->is_root() ? "root" : "leaf") +
-           ")";
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<BcastChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ReduceAwaitable final
-    : sim::detail::AwaitableBase<ReduceAwaitable<T>> {
-  ReduceAwaitable(ReduceChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  ReduceChannel* chan;
-  T snd;
+  CollChannelBase* chan;
+  CollStep step;
+  T snd{};
   T* rcv;
   bool pushed = false;
+  bool popped = false;
 
   bool TryComplete(sim::Cycle now) override {
     if (!chan->EnsureConfigSent(now)) return false;
-    if (!pushed) {
+    if (step.push && !pushed) {
       if (!chan->app_in().CanPush(now)) return false;
       chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
       pushed = true;
     }
-    if (chan->is_root()) {
+    if (step.pop) {
       if (!chan->app_out().CanPop(now)) return false;
       *rcv = chan->PopElement(now).As<T>();
+      popped = true;
     }
     ++chan->calls_;
     return true;
   }
   std::string Describe() const override {
-    return std::string("SMI_Reduce (") + (chan->is_root() ? "root" : "leaf") +
-           (pushed ? ", awaiting result)" : ", sending)");
+    return chan->Describe(!chan->config_sent_     ? "opening"
+                          : step.push && !pushed ? "sending"
+                                                 : "awaiting result");
   }
   void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<ReduceChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ScatterAwaitable final
-    : sim::detail::AwaitableBase<ScatterAwaitable<T>> {
-  ScatterAwaitable(ScatterChannel* c, const T* s, T* r)
-      : chan(c), snd(s ? *s : T{}), rcv(r) {}
-  ScatterChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-  bool received = false;
-
-  bool InRootWindow() const {
-    const int serving = chan->calls_ / chan->count();
-    return serving == chan->root_comm_rank();
-  }
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (!pushed) {
-        if (!chan->app_in().CanPush(now)) return false;
-        chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-        pushed = true;
-      }
-      if (InRootWindow()) {
-        if (!chan->app_out().CanPop(now)) return false;
-        *rcv = chan->PopElement(now).As<T>();
-        received = true;
-      }
-    } else {
-      if (!chan->app_out().CanPop(now)) return false;
-      *rcv = chan->PopElement(now).As<T>();
-      received = true;
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override { return "SMI Scatter"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<ScatterChannel>::Watch(chan, out);
+    out.push_back(&chan->app_in());
+    out.push_back(&chan->app_out());
   }
   sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
     return sim::kNeverCycle;
   }
   /// True if *rcv was written by this call.
-  bool await_resume() const noexcept { return received; }
-};
-
-template <typename T>
-struct GatherAwaitable final
-    : sim::detail::AwaitableBase<GatherAwaitable<T>> {
-  GatherAwaitable(GatherChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  GatherChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-  bool received = false;
-
-  bool InRootWindow() const {
-    const int serving = chan->calls_ / chan->count();
-    return serving == chan->root_comm_rank();
-  }
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (InRootWindow() && !pushed) {
-        if (!chan->app_in().CanPush(now)) return false;
-        chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-        pushed = true;
-      }
-      if (!chan->app_out().CanPop(now)) return false;
-      *rcv = chan->PopElement(now).As<T>();
-      received = true;
-    } else {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override { return "SMI Gather"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<GatherChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  bool await_resume() const noexcept { return received; }
-};
-
-template <typename T>
-struct AllreduceAwaitable final
-    : sim::detail::AwaitableBase<AllreduceAwaitable<T>> {
-  AllreduceAwaitable(AllreduceChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  AllreduceChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (!pushed) {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-      pushed = true;
-    }
-    if (!chan->app_out().CanPop(now)) return false;
-    *rcv = chan->PopElement(now).As<T>();
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override {
-    return std::string("SMI_Allreduce") +
-           (pushed ? " (awaiting result)" : " (sending)");
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<AllreduceChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
+  bool await_resume() const noexcept { return popped; }
 };
 
 }  // namespace detail

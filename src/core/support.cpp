@@ -111,6 +111,100 @@ Element UnpackElement(const Packet& pkt, int index, std::size_t size) {
 }
 
 // ---------------------------------------------------------------------------
+// The C-deep fold window of a tree reduction, shared by Reduce and
+// Allreduce's up phase. The node folds its own application stream with its
+// children's partials in arrival order (legal because the supported
+// operations are associative and commutative), retires elements in order
+// and, once a whole tile is out, credits its children with the next one.
+// What happens to a retired element is the calling kernel's own policy.
+// ---------------------------------------------------------------------------
+struct FoldWindow {
+  FoldWindow(const SupportCtx& ctx, const CollConfig& cfg,
+             const TreeShape& shape, const char* kernel)
+      : ctx(ctx),
+        cfg(cfg),
+        shape(shape),
+        kernel(kernel),
+        C(std::max(1, cfg.credits)),
+        sources(1 + static_cast<int>(shape.children.size())),
+        accum(static_cast<std::size_t>(C), ReduceIdentity(cfg.op, cfg.type)),
+        contrib(static_cast<std::size_t>(C), 0) {
+    for (const int g : shape.children) child_next[g] = 0;
+  }
+
+  const SupportCtx& ctx;
+  const CollConfig& cfg;
+  const TreeShape& shape;
+  const char* kernel;  // names the kernel in error messages
+  const int C;
+  const int sources;  // this rank's stream plus one per child
+  std::vector<Element> accum;
+  std::vector<int> contrib;       // sources folded into each slot
+  std::map<int, int> child_next;  // per child global rank: next element
+  int local_next = 0;
+  int retired = 0;        // elements handed to the kernel's emit policy
+  int granted_tiles = 1;  // tiles granted to children
+  std::vector<int> pending_credits;  // child global ranks to credit
+
+  std::size_t Slot(int idx) const { return static_cast<std::size_t>(idx % C); }
+  /// True once every source contributed the next element to retire.
+  bool HeadReady() const {
+    return retired < cfg.count && contrib[Slot(retired)] == sources;
+  }
+  const Element& Head() const { return accum[Slot(retired)]; }
+
+  /// Fold one local element if it is inside the window and available.
+  void FoldLocal(Cycle now) {
+    if (local_next < cfg.count && local_next < retired + C &&
+        ctx.app_in->CanPop(now)) {
+      Fold(local_next, GetElement(ctx.app_in->Pop(now), kernel));
+      ++local_next;
+    }
+  }
+  /// Fold a child's data packet inside the credits granted to it; false if
+  /// `p` does not come from a child.
+  bool FoldChild(const Packet& p) {
+    const auto it = child_next.find(p.hdr.src);
+    if (it == child_next.end()) return false;
+    for (int e = 0; e < p.hdr.count; ++e) {
+      const int idx = it->second++;
+      if (idx >= granted_tiles * C) {
+        throw ConfigError(std::string(kernel) +
+                          ": child exceeded its credit window");
+      }
+      Fold(idx, UnpackElement(p, e, SizeOf(cfg.type)));
+    }
+    return true;
+  }
+  /// Free the head slot; grant the children the next tile once a whole tile
+  /// is out.
+  void Retire() {
+    accum[Slot(retired)] = ReduceIdentity(cfg.op, cfg.type);
+    contrib[Slot(retired)] = 0;
+    ++retired;
+    if (retired % C == 0 && granted_tiles * C < cfg.count) {
+      ++granted_tiles;
+      pending_credits.insert(pending_credits.end(), shape.children.begin(),
+                             shape.children.end());
+    }
+  }
+  /// Send one pending credit to a child.
+  void SendCredit(Cycle now) {
+    if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
+      ctx.net_out->Push(
+          MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
+      pending_credits.pop_back();
+    }
+  }
+
+ private:
+  void Fold(int idx, const Element& e) {
+    accum[Slot(idx)] = ApplyReduceOp(cfg.op, cfg.type, accum[Slot(idx)], e);
+    ++contrib[Slot(idx)];
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Bcast (§4.4) over a tree shape: every non-root sends READY to its parent;
 // a node streams to its children only after each child's READY (one-to-all
 // rendezvous, which keeps successive opens on the port from mixing). The
@@ -187,14 +281,11 @@ Kernel Bcast(SupportCtx ctx, CollAlgo algo) {
 
 // ---------------------------------------------------------------------------
 // Reduce (§4.4) over a tree shape, with credit-based flow control in tiles
-// of C elements on every edge. The root and every inner node fold their own
-// application stream with their children's partials into a C-deep window —
-// in arrival order, legal because the supported operations are associative
-// and commutative. An inner node forwards each completed element to its
+// of C elements on every edge. The root and every inner node fold into a
+// FoldWindow. An inner node stages each retired element into packets to its
 // parent inside the parent's credits; the root emits it to its application
 // element-wise (so the root application's push/pop loop cannot deadlock).
-// Once every element of a tile is out, the node credits its children with
-// the next tile; tile 0 is implicitly granted at open.
+// Tile 0 is implicitly granted at open.
 //
 // A leaf of the flat shape (the paper's linear scheme) has nothing to fold
 // and streams its application elements straight to the root, one tile per
@@ -245,38 +336,28 @@ Kernel Reduce(SupportCtx ctx, CollAlgo algo) {
       continue;
     }
 
-    const int sources = 1 + static_cast<int>(shape.children.size());
-    std::vector<Element> accum(static_cast<std::size_t>(C),
-                               ReduceIdentity(cfg.op, cfg.type));
-    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
-    std::map<int, int> child_next;  // per child global rank: next element
-    for (const int g : shape.children) child_next[g] = 0;
-    int local_next = 0;
-    int emitted = 0;            // elements delivered to app (root) or parent
-    int granted_tiles = 1;      // credits granted to children
-    int parent_credits = 1;     // credits received from the parent
-    std::vector<int> pending_credits;  // child global ranks to credit
+    FoldWindow w(ctx, cfg, shape, "ReduceSupport");
+    int parent_credits = 1;  // credits received from the parent
     Packet out = MakeSync(ctx, std::max(0, shape.parent), OpType::kData);
     int out_fill = 0;
 
-    while (emitted < cfg.count) {
+    while (w.retired < cfg.count) {
       const Cycle now = *ctx.now;
       // (1) Emit the next completed element.
-      if (contrib[static_cast<std::size_t>(emitted % C)] == sources) {
+      if (w.HeadReady()) {
         bool advanced = false;
-        const std::size_t slot = static_cast<std::size_t>(emitted % C);
         if (shape.parent < 0) {
           if (ctx.app_out->CanPush(now)) {
-            ctx.app_out->Push(CollToken(accum[slot]), now);
+            ctx.app_out->Push(CollToken(w.Head()), now);
             advanced = true;
           }
-        } else if (emitted < parent_credits * C) {
+        } else if (w.retired < parent_credits * C) {
           // Stage into the outgoing packet; flush on full packet, tile
           // boundary or message end.
-          PackElement(out, out_fill, accum[slot], esz);
+          PackElement(out, out_fill, w.Head(), esz);
           ++out_fill;
-          const bool flush = out_fill == epp || (emitted + 1) % C == 0 ||
-                             emitted + 1 == cfg.count;
+          const bool flush = out_fill == epp || (w.retired + 1) % C == 0 ||
+                             w.retired + 1 == cfg.count;
           if (!flush) {
             advanced = true;
           } else if (ctx.net_out->CanPush(now)) {
@@ -288,60 +369,25 @@ Kernel Reduce(SupportCtx ctx, CollAlgo algo) {
             --out_fill;  // retry next cycle
           }
         }
-        if (advanced) {
-          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[slot] = 0;
-          ++emitted;
-          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            pending_credits.insert(pending_credits.end(),
-                                   shape.children.begin(),
-                                   shape.children.end());
-          }
-        }
+        if (advanced) w.Retire();
       }
       // (2) Fold one local element within the window.
-      if (local_next < cfg.count && local_next < emitted + C &&
-          ctx.app_in->CanPop(now)) {
-        const Element e = GetElement(ctx.app_in->Pop(now), "ReduceSupport");
-        const std::size_t slot = static_cast<std::size_t>(local_next % C);
-        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
-        ++contrib[slot];
-        ++local_next;
-      }
+      w.FoldLocal(now);
       // (3) Fold one incoming packet (child partials or parent credit).
       if (ctx.net_in->CanPop(now)) {
         const Packet p = ctx.net_in->Pop(now);
         if (p.hdr.op == OpType::kCredit) {
           ++parent_credits;
-        } else if (p.hdr.op == OpType::kData) {
-          const auto it = child_next.find(p.hdr.src);
-          if (it == child_next.end()) {
-            throw ConfigError("ReduceSupport: data from a non-child: " +
-                              p.DebugString());
-          }
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = it->second++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "ReduceSupport: child exceeded its credit window");
-            }
-            const std::size_t slot = static_cast<std::size_t>(idx % C);
-            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
-                                        UnpackElement(p, e, esz));
-            ++contrib[slot];
-          }
-        } else {
+        } else if (p.hdr.op != OpType::kData) {
           throw ConfigError("ReduceSupport: unexpected packet: " +
+                            p.DebugString());
+        } else if (!w.FoldChild(p)) {
+          throw ConfigError("ReduceSupport: data from a non-child: " +
                             p.DebugString());
         }
       }
       // (4) Send one pending credit to a child.
-      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-        ctx.net_out->Push(
-            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-        pending_credits.pop_back();
-      }
+      w.SendCredit(now);
       // NextCycle keeps the default poll-every-cycle wake hint, so the
       // event-driven engine polls this multi-FIFO loop each cycle exactly
       // like the synchronous one — but only while a reduce is in flight;
@@ -501,13 +547,11 @@ Kernel Gather(SupportCtx ctx) {
 // to further collectives), over the same tree shapes as Bcast and Reduce.
 // One kernel instance carries both phases:
 //
-//  * Up phase — the Reduce protocol: every node folds its application
-//    stream with its children's partials in a C-deep window and forwards
-//    completed elements to its parent, tile by tile under per-edge credit
-//    flow control. Unlike Reduce, *all* credits are explicit (including
-//    tile 0): a parent grants tile 0 when it enters the open, so a fast
-//    child can never push data from open k+1 into a parent still folding
-//    open k.
+//  * Up phase — Reduce's FoldWindow, forwarding retired elements to the
+//    parent under per-edge credit flow control. Unlike Reduce, *all*
+//    credits are explicit (including tile 0): a parent grants tile 0 when
+//    it enters the open, so a fast child can never push data from open k+1
+//    into a parent still folding open k.
 //  * Down phase — the root's completed results double as the broadcast
 //    payload: each result is delivered to the local application and
 //    forwarded down the same tree, one child per cycle. Elements travel
@@ -537,22 +581,13 @@ Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
     const bool is_root = shape.parent < 0;
     const std::size_t esz = SizeOf(cfg.type);
     const int C = std::max(1, cfg.credits);
-    const int sources = 1 + static_cast<int>(shape.children.size());
 
     if (cfg.count == 0) continue;
 
     // --- Up phase (reduce toward the root) ---
-    std::vector<Element> accum(static_cast<std::size_t>(C),
-                               ReduceIdentity(cfg.op, cfg.type));
-    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
-    std::map<int, int> child_next;  // per child global rank: next element
-    for (const int g : shape.children) child_next[g] = 0;
-    int local_next = 0;
-    int up_done = 0;        // elements fully folded and dispatched upward
-                            // (at the root: delivered + staged downward)
-    int granted_tiles = 1;  // tiles granted to children (tile 0 below)
-    int parent_tiles = 0;   // tiles of parent credit consumed this open
-    std::vector<int> pending_credits = shape.children;  // tile-0 grant
+    FoldWindow w(ctx, cfg, shape, "AllreduceSupport");
+    w.pending_credits = shape.children;  // explicit tile-0 grant
+    int parent_tiles = 0;  // tiles of parent credit consumed this open
     Packet up_pkt = MakeSync(ctx, std::max(0, shape.parent), OpType::kData);
 
     // --- Down phase (result broadcast from the root) ---
@@ -563,70 +598,51 @@ Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
     int deliver_idx = 0;
     bool have_down = false;
 
-    while (up_done < cfg.count || delivered < cfg.count ||
+    while (w.retired < cfg.count || delivered < cfg.count ||
            !fwd_pending.empty() || have_down) {
       const Cycle now = *ctx.now;
       // (1) Advance the up phase: once every source contributed the next
       // element, it becomes a result (root) or flows to the parent under
       // credit flow control.
-      if (up_done < cfg.count &&
-          contrib[static_cast<std::size_t>(up_done % C)] == sources) {
-        const std::size_t slot = static_cast<std::size_t>(up_done % C);
+      if (w.HeadReady()) {
         bool advanced = false;
         if (is_root) {
           // The result is final: deliver locally and stage it into the down
           // packet, which must not still be in flight to the children.
           if (fwd_pending.empty() && ctx.app_out->CanPush(now)) {
-            ctx.app_out->Push(CollToken(accum[slot]), now);
+            ctx.app_out->Push(CollToken(w.Head()), now);
             ++delivered;
             if (!shape.children.empty()) {
               // Same per-element rendezvous constraint as the up phase: a
               // result held in a partially filled down packet would block
               // every non-root rank's pop of that result.
-              PackElement(down_pkt, 0, accum[slot], esz);
+              PackElement(down_pkt, 0, w.Head(), esz);
               down_pkt.hdr.count = 1;
               fwd_pending = shape.children;
             }
             advanced = true;
           }
         } else {
-          if (up_done >= parent_tiles * C &&
+          if (w.retired >= parent_tiles * C &&
               credit_ledger[shape.parent] > 0) {
             --credit_ledger[shape.parent];
             ++parent_tiles;
           }
-          if (up_done < parent_tiles * C &&
-              ctx.net_out->CanPush(now)) {
+          if (w.retired < parent_tiles * C && ctx.net_out->CanPush(now)) {
             // One element per packet: the Allreduce channel is a per-element
             // request/response rendezvous (the application pushes element i
             // and blocks until result i returns), so holding element i in a
             // partially filled packet would stall the whole communicator.
-            PackElement(up_pkt, 0, accum[slot], esz);
+            PackElement(up_pkt, 0, w.Head(), esz);
             up_pkt.hdr.count = 1;
             ctx.net_out->Push(up_pkt, now);
             advanced = true;
           }
         }
-        if (advanced) {
-          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[slot] = 0;
-          ++up_done;
-          if (up_done % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            for (const int g : shape.children) pending_credits.push_back(g);
-          }
-        }
+        if (advanced) w.Retire();
       }
       // (2) Fold one local element within the accumulation window.
-      if (local_next < cfg.count && local_next < up_done + C &&
-          ctx.app_in->CanPop(now)) {
-        const Element e =
-            GetElement(ctx.app_in->Pop(now), "AllreduceSupport");
-        const std::size_t slot = static_cast<std::size_t>(local_next % C);
-        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
-        ++contrib[slot];
-        ++local_next;
-      }
+      w.FoldLocal(now);
       // (3) Classify one incoming packet: parent credit, parent down-data,
       // or child contribution. Held back while a down packet is still being
       // delivered, so down packets are consumed strictly in order.
@@ -639,21 +655,7 @@ Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
           deliver_idx = 0;
           have_down = true;
           fwd_pending = shape.children;
-        } else if (p.hdr.op == OpType::kData &&
-                   child_next.count(p.hdr.src) != 0) {
-          auto& next = child_next[p.hdr.src];
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = next++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "AllreduceSupport: child exceeded its credit window");
-            }
-            const std::size_t slot = static_cast<std::size_t>(idx % C);
-            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
-                                        UnpackElement(p, e, esz));
-            ++contrib[slot];
-          }
-        } else {
+        } else if (p.hdr.op != OpType::kData || !w.FoldChild(p)) {
           throw ConfigError("AllreduceSupport: unexpected packet: " +
                             p.DebugString());
         }
@@ -680,11 +682,7 @@ Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
         have_down = false;
       }
       // (6) Send one pending credit to a child.
-      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-        ctx.net_out->Push(
-            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-        pending_credits.pop_back();
-      }
+      w.SendCredit(now);
       co_await NextCycle{};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close

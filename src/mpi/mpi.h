@@ -85,11 +85,7 @@ core::ProgramSpec WorldSpec(int world_size, const ShimConfig& config = {});
 namespace detail {
 template <typename T> struct SendCall;
 template <typename T> struct RecvCall;
-template <typename T> struct BcastCall;
-template <typename T> struct ReduceCall;
-template <typename T> struct AllreduceCall;
-template <typename T> struct ScatterCall;
-template <typename T> struct GatherCall;
+template <typename T> struct CollCall;
 struct BarrierCall;
 }  // namespace detail
 
@@ -126,52 +122,56 @@ class Comm {
   }
 
   template <typename T>
-  detail::BcastCall<T> Bcast(T* buf, int count, int root) {
+  detail::CollCall<T> Bcast(T* buf, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kBcast, count, type);
-    return detail::BcastCall<T>(
+    return detail::CollCall<T>(
         ctx_->OpenBcastChannel(count, type, port, root, ctx_->world()), buf,
-        count);
+        buf);
   }
 
   template <typename T>
-  detail::ReduceCall<T> Reduce(const T* snd, T* rcv, int count,
-                               core::ReduceOp op, int root) {
+  detail::CollCall<T> Reduce(const T* snd, T* rcv, int count,
+                             core::ReduceOp op, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kReduce, count, type);
-    return detail::ReduceCall<T>(
+    return detail::CollCall<T>(
         ctx_->OpenReduceChannel(count, type, op, port, root, ctx_->world(),
                                 config_.credits),
-        snd, rcv, count);
+        snd, rcv);
   }
 
   template <typename T>
-  detail::AllreduceCall<T> Allreduce(const T* snd, T* rcv, int count,
-                                     core::ReduceOp op) {
+  detail::CollCall<T> Allreduce(const T* snd, T* rcv, int count,
+                                core::ReduceOp op) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kAllreduce, count, type);
-    return detail::AllreduceCall<T>(
+    return detail::CollCall<T>(
         ctx_->OpenAllreduceChannel(count, type, op, port, ctx_->world(),
                                    config_.credits),
-        snd, rcv, count);
+        snd, rcv);
   }
 
+  /// The root reads count*size() elements from snd; every rank receives
+  /// count into rcv.
   template <typename T>
-  detail::ScatterCall<T> Scatter(const T* snd, T* rcv, int count, int root) {
+  detail::CollCall<T> Scatter(const T* snd, T* rcv, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kScatter, count, type);
-    return detail::ScatterCall<T>(
+    return detail::CollCall<T>(
         ctx_->OpenScatterChannel(count, type, port, root, ctx_->world()),
-        snd, rcv, count);
+        snd, rcv);
   }
 
+  /// Every rank sends count elements from snd; the root receives
+  /// count*size() into rcv.
   template <typename T>
-  detail::GatherCall<T> Gather(const T* snd, T* rcv, int count, int root) {
+  detail::CollCall<T> Gather(const T* snd, T* rcv, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kGather, count, type);
-    return detail::GatherCall<T>(
+    return detail::CollCall<T>(
         ctx_->OpenGatherChannel(count, type, port, root, ctx_->world()), snd,
-        rcv, count);
+        rcv);
   }
 
   detail::BarrierCall Barrier();
@@ -266,202 +266,48 @@ struct RecvCall final : sim::detail::AwaitableBase<RecvCall<T>> {
   void await_resume() const noexcept {}
 };
 
-/// Shared scaffolding for the collective calls: a staging element `tmp` the
-/// per-element awaitable reads/writes, re-armed after each completion.
+/// The one buffer call of every collective: streams the buffers through
+/// the channel's element calls (core::detail::CollAwaitable), one per
+/// cycle at best. The send cursor advances on each element call that
+/// pushed, the receive cursor on each that popped, so core::StepOf alone
+/// decides which buffer slots a rank reads and writes.
 template <typename T>
-struct BcastCall final : sim::detail::AwaitableBase<BcastCall<T>> {
-  BcastCall(core::BcastChannel chan, T* buf, int count)
-      : chan(std::move(chan)), buf(buf), count(count) {}
-  core::BcastChannel chan;
-  T* buf;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::BcastAwaitable<T>> inner;
-
-  void Arm() {
-    if (chan.is_root()) tmp = buf[idx];
-    inner.emplace(chan.Bcast(tmp));
-  }
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) Arm();
-    if (inner->TryComplete(now)) {
-      if (!chan.is_root()) buf[idx] = tmp;
-      if (++idx == count) return true;
-      Arm();
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Bcast"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ReduceCall final : sim::detail::AwaitableBase<ReduceCall<T>> {
-  ReduceCall(core::ReduceChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)), snd(snd), rcv(rcv), count(count) {}
-  core::ReduceChannel chan;
+struct CollCall final : sim::detail::AwaitableBase<CollCall<T>> {
+  /// Every channel type is a CollChannelBase with no state of its own.
+  CollCall(core::CollChannelBase chan, const T* snd, T* rcv)
+      : chan(std::move(chan)), snd(snd), rcv(rcv) {}
+  core::CollChannelBase chan;
   const T* snd;
   T* rcv;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::ReduceAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Reduce(snd[idx], tmp));
-    if (inner->TryComplete(now)) {
-      if (chan.is_root()) rcv[idx] = tmp;
-      if (++idx == count) return true;
-      inner.emplace(chan.Reduce(snd[idx], tmp));
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Reduce"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct AllreduceCall final : sim::detail::AwaitableBase<AllreduceCall<T>> {
-  AllreduceCall(core::AllreduceChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)), snd(snd), rcv(rcv), count(count) {}
-  core::AllreduceChannel chan;
-  const T* snd;
-  T* rcv;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::AllreduceAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Allreduce(snd[idx], tmp));
-    if (inner->TryComplete(now)) {
-      rcv[idx] = tmp;
-      if (++idx == count) return true;
-      inner.emplace(chan.Allreduce(snd[idx], tmp));
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Allreduce"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ScatterCall final : sim::detail::AwaitableBase<ScatterCall<T>> {
-  ScatterCall(core::ScatterChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)),
-        snd(snd),
-        rcv(rcv),
-        count(count),
-        // this->chan: plain `chan` would name the moved-from parameter.
-        total(this->chan.is_root() ? count * this->chan.comm_size()
-                                   : count) {}
-  core::ScatterChannel chan;
-  const T* snd;  ///< root: count*comm_size elements; non-root: unused
-  T* rcv;        ///< every rank: count elements
-  int count;
-  int total;
-  int idx = 0;
+  int snd_idx = 0;
   int rcv_idx = 0;
-  T tmp{};
-  std::optional<core::detail::ScatterAwaitable<T>> inner;
+  std::optional<core::detail::CollAwaitable<T>> inner;
 
   void Arm() {
-    inner.emplace(chan.Scatter(chan.is_root() ? &snd[idx] : nullptr, tmp));
+    inner.emplace(chan.Call<T>(snd == nullptr ? nullptr : snd + snd_idx,
+                               rcv == nullptr ? nullptr : rcv + rcv_idx));
   }
   bool TryComplete(sim::Cycle now) override {
-    if (idx == total) return true;
+    if (chan.calls() == chan.total_calls()) return true;
     if (!inner) Arm();
     if (inner->TryComplete(now)) {
-      if (inner->received) rcv[rcv_idx++] = tmp;
-      if (++idx == total) return true;
+      snd_idx += inner->pushed ? 1 : 0;
+      rcv_idx += inner->popped ? 1 : 0;
+      if (chan.calls() == chan.total_calls()) return true;
       Arm();
     }
     return false;
   }
-  std::string Describe() const override { return "MPI_Scatter"; }
+  std::string Describe() const override {
+    return std::string("MPI_") + core::CollKindName(chan.kind()) + " (" +
+           std::to_string(chan.calls()) + "/" +
+           std::to_string(chan.total_calls()) + ")";
+  }
   void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
+    inner->WatchFifos(out);
   }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct GatherCall final : sim::detail::AwaitableBase<GatherCall<T>> {
-  GatherCall(core::GatherChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)),
-        snd(snd),
-        rcv(rcv),
-        count(count),
-        // this->chan: plain `chan` would name the moved-from parameter.
-        total(this->chan.is_root() ? count * this->chan.comm_size()
-                                   : count) {}
-  core::GatherChannel chan;
-  const T* snd;  ///< every rank: count elements
-  T* rcv;        ///< root: count*comm_size elements; non-root: unused
-  int count;
-  int total;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::GatherAwaitable<T>> inner;
-
-  void Arm() {
-    if (chan.is_root()) {
-      // The root's own contribution is consumed during its rank-order
-      // window; outside it the send value is ignored.
-      const int window = idx / count;
-      const T s = window == chan.root_comm_rank() ? snd[idx - window * count]
-                                                  : T{};
-      inner.emplace(chan.Gather(s, &tmp));
-    } else {
-      inner.emplace(chan.Gather(snd[idx], static_cast<T*>(nullptr)));
-    }
-  }
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == total) return true;
-    if (!inner) Arm();
-    if (inner->TryComplete(now)) {
-      if (chan.is_root()) rcv[idx] = tmp;
-      if (++idx == total) return true;
-      Arm();
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Gather"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
+  sim::Cycle NextPollCycle(sim::Cycle now) const override {
+    return inner->NextPollCycle(now);
   }
   void await_resume() const noexcept {}
 };
@@ -471,10 +317,10 @@ struct GatherCall final : sim::detail::AwaitableBase<GatherCall<T>> {
 /// elision keeps them stable through the prvalue return.
 struct BarrierCall final : sim::detail::AwaitableBase<BarrierCall> {
   explicit BarrierCall(core::AllreduceChannel chan)
-      : inner(std::move(chan), &snd, &rcv, 1) {}
+      : inner(std::move(chan), &snd, &rcv) {}
   std::int32_t snd = 0;
   std::int32_t rcv = 0;
-  AllreduceCall<std::int32_t> inner;
+  CollCall<std::int32_t> inner;
 
   bool TryComplete(sim::Cycle now) override { return inner.TryComplete(now); }
   std::string Describe() const override { return "MPI_Barrier"; }
@@ -516,27 +362,27 @@ detail::RecvCall<T> MPI_Recv(T* buf, int count, int source, Comm& comm) {
   return comm.Recv(buf, count, source);
 }
 template <typename T>
-detail::BcastCall<T> MPI_Bcast(T* buf, int count, int root, Comm& comm) {
+detail::CollCall<T> MPI_Bcast(T* buf, int count, int root, Comm& comm) {
   return comm.Bcast(buf, count, root);
 }
 template <typename T>
-detail::ReduceCall<T> MPI_Reduce(const T* snd, T* rcv, int count,
-                                 core::ReduceOp op, int root, Comm& comm) {
+detail::CollCall<T> MPI_Reduce(const T* snd, T* rcv, int count,
+                               core::ReduceOp op, int root, Comm& comm) {
   return comm.Reduce(snd, rcv, count, op, root);
 }
 template <typename T>
-detail::AllreduceCall<T> MPI_Allreduce(const T* snd, T* rcv, int count,
-                                       core::ReduceOp op, Comm& comm) {
+detail::CollCall<T> MPI_Allreduce(const T* snd, T* rcv, int count,
+                                  core::ReduceOp op, Comm& comm) {
   return comm.Allreduce(snd, rcv, count, op);
 }
 template <typename T>
-detail::ScatterCall<T> MPI_Scatter(const T* snd, T* rcv, int count, int root,
-                                   Comm& comm) {
+detail::CollCall<T> MPI_Scatter(const T* snd, T* rcv, int count, int root,
+                                Comm& comm) {
   return comm.Scatter(snd, rcv, count, root);
 }
 template <typename T>
-detail::GatherCall<T> MPI_Gather(const T* snd, T* rcv, int count, int root,
-                                 Comm& comm) {
+detail::CollCall<T> MPI_Gather(const T* snd, T* rcv, int count, int root,
+                               Comm& comm) {
   return comm.Gather(snd, rcv, count, root);
 }
 inline detail::BarrierCall MPI_Barrier(Comm& comm) { return comm.Barrier(); }

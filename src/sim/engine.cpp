@@ -243,10 +243,12 @@ bool Engine::StepCycleSync() {
       if (!promise.blocker->TryComplete(now_)) continue;
       promise.blocker = nullptr;
     }
-    // Either never started, or its blocked operation just completed.
+    // Either never started, or its blocked operation just completed. A
+    // daemon's resume alone is no progress: a support kernel polling for
+    // data that never comes would otherwise hide the deadlock forever.
     ++whole_.resumes;
     if (slot.probe != nullptr) slot.probe->OnResume(now_);
-    progress = true;
+    progress |= !slot.daemon;
     slot.kernel.Resume();
     CheckKernelException(slot);
     if (slot.done && slot.probe != nullptr) slot.probe->OnDone(now_);
@@ -510,7 +512,7 @@ bool Engine::StepCycleEvent(Partition& p) {
     ++p.resumes;
     if (p.log_resumes) AppendResumeLog(p, now);
     if (slot.probe != nullptr) slot.probe->OnResume(now);
-    progress = true;
+    progress |= !slot.daemon;  // as in StepCycleSync
     slot.kernel.Resume();
     CheckKernelException(slot);
     if (slot.done) {

@@ -159,9 +159,9 @@ enum class SchedulerKind {
 
 struct EngineConfig {
   ClockConfig clock;
-  /// Cycles without any FIFO transfer or kernel resume before the watchdog
-  /// declares deadlock. Must comfortably exceed the longest structural
-  /// latency in the fabric (links are ~100 cycles).
+  /// Cycles without any FIFO transfer or application (non-daemon) kernel
+  /// resume before the watchdog declares deadlock. Must comfortably exceed
+  /// the longest structural latency in the fabric (links are ~100 cycles).
   Cycle watchdog_cycles = 100000;
   /// Hard cap on simulated cycles (0 = unlimited). A safety net for tests.
   Cycle max_cycles = 0;

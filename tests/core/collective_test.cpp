@@ -412,6 +412,181 @@ TEST(Collectives, SubCommunicatorBcast) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Misuse of a collective call is rejected at the call, naming the collective
+// ---------------------------------------------------------------------------
+
+ProgramSpec AllKindsSpec() {
+  ProgramSpec spec;
+  spec.Add(OpSpec::Bcast(0, DataType::kInt));
+  spec.Add(OpSpec::Reduce(1, DataType::kInt));
+  spec.Add(OpSpec::Allreduce(2, DataType::kInt));
+  spec.Add(OpSpec::Scatter(3, DataType::kInt));
+  spec.Add(OpSpec::Gather(4, DataType::kInt));
+  return spec;
+}
+
+/// A channel of `kind` on AllKindsSpec's port for it, seen through the base
+/// every collective channel shares.
+CollChannelBase OpenKind(Context& ctx, CollKind kind, int count, int root) {
+  switch (kind) {
+    case CollKind::kBcast:
+      return ctx.OpenBcastChannel(count, DataType::kInt, 0, root, ctx.world());
+    case CollKind::kReduce:
+      return ctx.OpenReduceChannel(count, DataType::kInt, ReduceOp::kAdd, 1,
+                                   root, ctx.world());
+    case CollKind::kAllreduce:
+      return ctx.OpenAllreduceChannel(count, DataType::kInt, ReduceOp::kAdd,
+                                      2, ctx.world());
+    case CollKind::kScatter:
+      return ctx.OpenScatterChannel(count, DataType::kInt, 3, root,
+                                    ctx.world());
+    case CollKind::kGather:
+      return ctx.OpenGatherChannel(count, DataType::kInt, 4, root,
+                                   ctx.world());
+  }
+  throw ConfigError("unknown collective kind");
+}
+
+/// Runs `ranks` ranks that each make their declared number of calls of a
+/// 5-element collective rooted at communicator rank 1, plus `extra` more at
+/// global rank `extra_rank`; returns the error Run() throws ("" if none).
+std::string RunCalls(CollKind kind, int extra_rank, int extra) {
+  const int ranks = 4;
+  Cluster cluster(Topology::Bus(ranks), AllKindsSpec());
+  auto app = [](Context& ctx, CollKind k, int more) -> Kernel {
+    CollChannelBase chan = OpenKind(ctx, k, 5, /*root=*/1);
+    const int calls = chan.total_calls() + more;
+    for (int i = 0; i < calls; ++i) {
+      const std::int32_t snd = i;
+      std::int32_t rcv = 0;
+      co_await chan.Call<std::int32_t>(&snd, &rcv);
+    }
+  };
+  for (int r = 0; r < ranks; ++r) {
+    cluster.AddKernel(r, app(cluster.context(r), kind,
+                             r == extra_rank ? extra : 0),
+                      "app");
+  }
+  try {
+    cluster.Run();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+class CollectiveCallCount : public ::testing::TestWithParam<CollKind> {};
+
+TEST_P(CollectiveCallCount, CallBeyondTheDeclaredCountThrows) {
+  const CollKind kind = GetParam();
+  const std::string name = std::string("SMI_") + CollKindName(kind);
+  EXPECT_EQ(RunCalls(kind, /*extra_rank=*/0, /*extra=*/0), "");
+  // A non-root declares 5 calls; a Scatter/Gather root streams 5 per rank.
+  EXPECT_EQ(RunCalls(kind, 0, 1),
+            name + " beyond the declared count (5 calls)");
+  const bool all_segments =
+      kind == CollKind::kScatter || kind == CollKind::kGather;
+  EXPECT_EQ(RunCalls(kind, 1, 1),
+            name + " beyond the declared count (" +
+                (all_segments ? "20" : "5") + " calls)");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, CollectiveCallCount,
+                         ::testing::Values(CollKind::kBcast, CollKind::kReduce,
+                                           CollKind::kAllreduce,
+                                           CollKind::kScatter,
+                                           CollKind::kGather),
+                         [](const auto& info) {
+                           return std::string(CollKindName(info.param));
+                         });
+
+TEST(Scatter, NullSendElementAtTheRootThrows) {
+  Cluster cluster(Topology::Bus(2), ScatterSpec());
+  auto app = [](Context& ctx) -> Kernel {
+    ScatterChannel chan =
+        ctx.OpenScatterChannel(3, DataType::kInt, 2, /*root=*/0, ctx.world());
+    std::int32_t rcv = 0;
+    co_await chan.Scatter<std::int32_t>(nullptr, rcv);
+  };
+  cluster.AddKernel(0, app(cluster.context(0)), "root");
+  try {
+    cluster.Run();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "SMI_Scatter (root, call 1/6, sending): null send element");
+  }
+}
+
+TEST(Gather, NullReceiveElementAtTheRootThrows) {
+  Cluster cluster(Topology::Bus(2), GatherSpec());
+  auto app = [](Context& ctx) -> Kernel {
+    GatherChannel chan =
+        ctx.OpenGatherChannel(3, DataType::kInt, 3, /*root=*/1, ctx.world());
+    co_await chan.Gather<std::int32_t>(7, nullptr);
+  };
+  cluster.AddKernel(1, app(cluster.context(1)), "root");
+  try {
+    cluster.Run();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "SMI_Gather (root, call 1/6, receiving): null receive element");
+  }
+}
+
+/// The deadlock report of a 4-rank Reduce in which rank 2 contributes 2 of
+/// 5 elements and stops; "" if the run does not deadlock.
+std::string StoppedReduceReport(sim::SchedulerKind scheduler,
+                                unsigned threads) {
+  ClusterConfig config;
+  config.engine.scheduler = scheduler;
+  config.engine.threads = threads;
+  config.engine.watchdog_cycles = 2000;
+  config.engine.max_cycles = 200000;
+  Cluster cluster(Topology::Bus(4), ReduceSpec(), config);
+  auto app = [](Context& ctx, int calls) -> Kernel {
+    ReduceChannel chan = ctx.OpenReduceChannel(
+        5, DataType::kFloat, ReduceOp::kAdd, 1, /*root=*/0, ctx.world(),
+        /*credits=*/1);
+    for (int i = 0; i < calls; ++i) {
+      float rcv = 0.0f;
+      co_await chan.Reduce(1.0f, rcv);
+    }
+  };
+  for (int r = 0; r < 4; ++r) {
+    cluster.AddKernel(r, app(cluster.context(r), r == 2 ? 2 : 5), "app");
+  }
+  try {
+    cluster.Run();
+  } catch (const DeadlockError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Reduce, DeadlockReportNamesTheRootsCall) {
+  // With one-element credit tiles rank 2's leaf sends each element as it
+  // comes, so the root gets results 0 and 1, then waits forever in its
+  // third call, while its support kernel polls for rank 2's third element.
+  const std::string sync =
+      StoppedReduceReport(sim::SchedulerKind::kSynchronous, 1);
+  EXPECT_NE(sync.find("r0.app waiting on SMI_Reduce (root, call 3/5, "
+                      "awaiting result)"),
+            std::string::npos)
+      << sync;
+  // Every scheduler reports it at the same cycle.
+  const std::string head = sync.substr(0, sync.find(';'));
+  EXPECT_EQ(StoppedReduceReport(sim::SchedulerKind::kEventDriven, 1), sync);
+  const std::string par =
+      StoppedReduceReport(sim::SchedulerKind::kParallel, 2);
+  EXPECT_EQ(par.substr(0, par.find(';')), head);
+  EXPECT_NE(par.find("SMI_Reduce (root, call 3/5, awaiting result)"),
+            std::string::npos)
+      << par;
+}
+
 TEST(Collectives, WrongPortKindThrows) {
   Cluster cluster(Topology::Bus(2), BcastSpec());
   EXPECT_THROW(cluster.context(0).OpenReduceChannel(

@@ -1,8 +1,10 @@
 /// \file mpi_shim_test.cpp
 /// Conformance of the MPI shim against the bit-exact host references:
-/// Bcast/Reduce/Allreduce results must equal baseline::Host* under every
-/// scheduler and thread count, plus Send/Recv, Scatter/Gather, Barrier,
-/// the port layout, and WorldSpec validation.
+/// Bcast/Reduce/Allreduce results must equal baseline::Host* and
+/// Scatter/Gather at a root other than 0 the rank-order segments, with
+/// payloads, cycles and kernel resumes identical under every scheduler and
+/// thread count; plus Send/Recv, Scatter/Gather at root 0, Barrier, the
+/// port layout, and WorldSpec validation.
 
 #include <gtest/gtest.h>
 
@@ -49,39 +51,57 @@ ClusterConfig WithScheduler(SchedulerKind kind, unsigned threads = 1) {
 // Collective conformance under every scheduler
 // ---------------------------------------------------------------------------
 
-/// One rank exercising Bcast, Reduce and Allreduce back to back through the
-/// shim; outputs land in the caller's per-rank slots.
-Kernel ConformanceApp(Context& ctx, int count, const ShimConfig& shim,
-                      std::vector<float>* bcast_out,
-                      std::vector<float>* reduce_out,
-                      std::vector<float>* allreduce_out) {
-  Comm comm = MPI_Init(ctx, shim);
-  const int root = 1 % comm.size();
-  std::vector<float> buf(static_cast<std::size_t>(count), 0.0f);
-  if (comm.rank() == root) buf = Contribution(root, count);
-  co_await MPI_Bcast(buf.data(), count, root, comm);
-  *bcast_out = buf;
-
-  const std::vector<float> snd = Contribution(comm.rank(), count);
-  std::vector<float> rcv(static_cast<std::size_t>(count), -1.0f);
-  co_await MPI_Reduce(snd.data(), rcv.data(), count, ReduceOp::kAdd, root,
-                      comm);
-  if (comm.rank() == root) *reduce_out = rcv;
-
-  std::vector<float> all(static_cast<std::size_t>(count), -1.0f);
-  co_await MPI_Allreduce(snd.data(), all.data(), count, ReduceOp::kAdd,
-                         comm);
-  *allreduce_out = all;
+/// The buffer a Scatter root of `ranks` ranks streams: segment r goes to
+/// communicator rank r.
+std::vector<float> ScatterSource(int ranks, int count) {
+  return Contribution(100, count * ranks);
 }
 
 struct ConformanceResult {
   std::vector<std::vector<float>> bcast;
   std::vector<std::vector<float>> reduce;
   std::vector<std::vector<float>> allreduce;
+  std::vector<std::vector<float>> scatter;
+  std::vector<std::vector<float>> gather;
   sim::Cycle cycles = 0;
+  std::uint64_t kernel_resumes = 0;
 
   bool operator==(const ConformanceResult&) const = default;
 };
+
+/// One rank exercising Bcast, Reduce, Allreduce, Scatter and Gather back to
+/// back through the shim; outputs land in slot `at` of `out`.
+Kernel ConformanceApp(Context& ctx, int count, const ShimConfig& shim,
+                      ConformanceResult* out, std::size_t at) {
+  Comm comm = MPI_Init(ctx, shim);
+  const int root = 1 % comm.size();
+  std::vector<float> buf(static_cast<std::size_t>(count), 0.0f);
+  if (comm.rank() == root) buf = Contribution(root, count);
+  co_await MPI_Bcast(buf.data(), count, root, comm);
+  out->bcast[at] = buf;
+
+  const std::vector<float> snd = Contribution(comm.rank(), count);
+  std::vector<float> rcv(static_cast<std::size_t>(count), -1.0f);
+  co_await MPI_Reduce(snd.data(), rcv.data(), count, ReduceOp::kAdd, root,
+                      comm);
+  if (comm.rank() == root) out->reduce[at] = rcv;
+
+  std::vector<float> all(static_cast<std::size_t>(count), -1.0f);
+  co_await MPI_Allreduce(snd.data(), all.data(), count, ReduceOp::kAdd,
+                         comm);
+  out->allreduce[at] = all;
+
+  // Non-roots pass the source too; only the root reads it.
+  const std::vector<float> source = ScatterSource(comm.size(), count);
+  std::vector<float> mine(static_cast<std::size_t>(count), -1.0f);
+  co_await MPI_Scatter(source.data(), mine.data(), count, root, comm);
+  out->scatter[at] = mine;
+
+  std::vector<float> gathered(static_cast<std::size_t>(count * comm.size()),
+                              -1.0f);
+  co_await MPI_Gather(snd.data(), gathered.data(), count, root, comm);
+  if (comm.rank() == root) out->gather[at] = gathered;
+}
 
 ConformanceResult RunConformance(int ranks, int count,
                                  const ClusterConfig& config,
@@ -92,18 +112,19 @@ ConformanceResult RunConformance(int ranks, int count,
   Cluster cluster(ranks == 8 ? Topology::Torus2D(2, 4) : Topology::Bus(ranks),
                   WorldSpec(ranks, shim), config);
   ConformanceResult out;
-  out.bcast.resize(static_cast<std::size_t>(ranks));
-  out.reduce.resize(static_cast<std::size_t>(ranks));
-  out.allreduce.resize(static_cast<std::size_t>(ranks));
+  for (auto* slots :
+       {&out.bcast, &out.reduce, &out.allreduce, &out.scatter, &out.gather}) {
+    slots->resize(static_cast<std::size_t>(ranks));
+  }
   for (int r = 0; r < ranks; ++r) {
-    const auto at = static_cast<std::size_t>(r);
     cluster.AddKernel(r,
-                      ConformanceApp(cluster.context(r), count, shim,
-                                     &out.bcast[at], &out.reduce[at],
-                                     &out.allreduce[at]),
+                      ConformanceApp(cluster.context(r), count, shim, &out,
+                                     static_cast<std::size_t>(r)),
                       "app");
   }
-  out.cycles = cluster.Run().cycles;
+  const core::RunResult run = cluster.Run();
+  out.cycles = run.cycles;
+  out.kernel_resumes = run.kernel_resumes;
   return out;
 }
 
@@ -129,18 +150,30 @@ TEST_P(ShimConformance, MatchesHostReferencesUnderAllSchedulers) {
       baseline::HostReduce(contribs, ReduceOp::kAdd);
   const std::vector<float> allreduce_expect =
       baseline::HostAllreduce(contribs, ReduceOp::kAdd);
+  const std::vector<float> source = ScatterSource(ranks, count);
+  std::vector<float> gather_expect;
+  for (const std::vector<float>& c : contribs) {
+    gather_expect.insert(gather_expect.end(), c.begin(), c.end());
+  }
   for (int r = 0; r < ranks; ++r) {
     const auto at = static_cast<std::size_t>(r);
     EXPECT_EQ(sync.bcast[at], bcast_expect) << "rank " << r;
     EXPECT_EQ(sync.allreduce[at], allreduce_expect) << "rank " << r;
+    EXPECT_EQ(sync.scatter[at],
+              std::vector<float>(source.begin() + r * count,
+                                 source.begin() + (r + 1) * count))
+        << "rank " << r;
     if (r == root) {
       EXPECT_EQ(sync.reduce[at], reduce_expect);
+      EXPECT_EQ(sync.gather[at], gather_expect);
     } else {
       EXPECT_TRUE(sync.reduce[at].empty());
+      EXPECT_TRUE(sync.gather[at].empty());
     }
   }
 
-  // Bit-identical across schedulers and thread counts, cycles included.
+  // Bit-identical across schedulers and thread counts, cycles and kernel
+  // resumes included.
   EXPECT_EQ(RunConformance(ranks, count,
                            WithScheduler(SchedulerKind::kEventDriven), force),
             sync);
