@@ -88,7 +88,6 @@ class CollChannelBase {
   int comm_size() const {
     return static_cast<int>(config_.comm_global.size());
   }
-  int my_comm_rank() const { return my_comm_; }
   int root_comm_rank() const { return config_.root_comm; }
   /// Calls completed so far, and calls the channel accepts: count, or
   /// count*comm_size at a Scatter/Gather root.

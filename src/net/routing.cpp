@@ -147,10 +147,10 @@ RoutingTable RoutingTable::FromJson(const json::Value& v,
 
 namespace {
 
-/// BFS from `dst` backwards over the (symmetric) connection graph, filling
-/// next hops toward `dst`. Tie-breaking is deterministic: neighbours are
-/// visited in (rank, port) order, and the first discovered predecessor wins.
-void FillShortestPathsTo(const Topology& topo, int dst, RoutingTable& out) {
+/// BFS distances of every rank to `dst` (hop counts over the undirected
+/// connection graph, whose neighbours are visited in (rank, port) order).
+/// Throws if some rank cannot reach dst.
+std::vector<int> DistancesTo(const Topology& topo, int dst) {
   const int n = topo.num_ranks();
   std::vector<int> dist(static_cast<std::size_t>(n), -1);
   std::queue<int> queue;
@@ -159,8 +159,8 @@ void FillShortestPathsTo(const Topology& topo, int dst, RoutingTable& out) {
   while (!queue.empty()) {
     const int at = queue.front();
     queue.pop();
-    for (const auto& [nbr, nbr_port_on_at] : topo.Neighbors(at)) {
-      (void)nbr_port_on_at;
+    for (const auto& [nbr, port] : topo.Neighbors(at)) {
+      (void)port;
       if (dist[static_cast<std::size_t>(nbr)] == -1) {
         dist[static_cast<std::size_t>(nbr)] =
             dist[static_cast<std::size_t>(at)] + 1;
@@ -169,57 +169,45 @@ void FillShortestPathsTo(const Topology& topo, int dst, RoutingTable& out) {
     }
   }
   for (int r = 0; r < n; ++r) {
-    if (r == dst) continue;
     if (dist[static_cast<std::size_t>(r)] == -1) {
-      throw RoutingError("rank " + std::to_string(r) +
-                         " cannot reach rank " + std::to_string(dst));
+      throw RoutingError("rank " + std::to_string(r) + " cannot reach rank " +
+                         std::to_string(dst));
     }
-    // Choose the lowest-numbered port leading to a neighbour one step
-    // closer to dst.
-    for (const auto& [nbr, port] : topo.Neighbors(r)) {
-      if (dist[static_cast<std::size_t>(nbr)] ==
-          dist[static_cast<std::size_t>(r)] - 1) {
-        out.set_next_port(r, dst, port);
-        break;
-      }
-    }
+  }
+  return dist;
+}
+
+/// The ports of `r` leading one hop closer under the distance field
+/// `dist`, in ascending port order, written into `ports`. Throws if there
+/// is none (r is the BFS target).
+void MinimalPorts(const Topology& topo, const std::vector<int>& dist, int r,
+                  std::vector<int>& ports) {
+  ports.clear();
+  const int closer = dist[static_cast<std::size_t>(r)] - 1;
+  for (const auto& [nbr, port] : topo.Neighbors(r)) {
+    if (dist[static_cast<std::size_t>(nbr)] == closer) ports.push_back(port);
+  }
+  if (ports.empty()) {
+    throw RoutingError("internal: no minimal port at rank " +
+                       std::to_string(r));
   }
 }
 
+/// Shortest paths with a deterministic tie-break: every rank takes its
+/// lowest-numbered port leading one hop closer to the destination.
 RoutingTable ShortestPathRoutes(const Topology& topo) {
-  RoutingTable table(topo.num_ranks());
-  for (int dst = 0; dst < topo.num_ranks(); ++dst) {
-    FillShortestPathsTo(topo, dst, table);
+  const int n = topo.num_ranks();
+  RoutingTable table(n);
+  std::vector<int> ports;
+  for (int dst = 0; dst < n; ++dst) {
+    const std::vector<int> dist = DistancesTo(topo, dst);
+    for (int r = 0; r < n; ++r) {
+      if (r == dst) continue;
+      MinimalPorts(topo, dist, r, ports);
+      table.set_next_port(r, dst, ports.front());
+    }
   }
   return table;
-}
-
-/// BFS levels for the up*/down* spanning tree rooted at rank 0.
-std::vector<int> BfsLevels(const Topology& topo) {
-  const int n = topo.num_ranks();
-  std::vector<int> level(static_cast<std::size_t>(n), -1);
-  std::queue<int> queue;
-  level[0] = 0;
-  queue.push(0);
-  while (!queue.empty()) {
-    const int at = queue.front();
-    queue.pop();
-    for (const auto& [nbr, port] : topo.Neighbors(at)) {
-      (void)port;
-      if (level[static_cast<std::size_t>(nbr)] == -1) {
-        level[static_cast<std::size_t>(nbr)] =
-            level[static_cast<std::size_t>(at)] + 1;
-        queue.push(nbr);
-      }
-    }
-  }
-  for (int r = 0; r < n; ++r) {
-    if (level[static_cast<std::size_t>(r)] == -1) {
-      throw RoutingError("topology is disconnected at rank " +
-                         std::to_string(r));
-    }
-  }
-  return level;
 }
 
 /// An edge u->v is "up" when v is closer to the root (lower level), with
@@ -253,7 +241,8 @@ bool IsUpEdge(const std::vector<int>& level, int u, int v) {
 /// rank and every route is simple (at most n-1 hops).
 RoutingTable UpDownRoutes(const Topology& topo) {
   const int n = topo.num_ranks();
-  const std::vector<int> level = BfsLevels(topo);
+  // BFS levels of the spanning tree rooted at rank 0.
+  const std::vector<int> level = DistancesTo(topo, 0);
   // Ranks sorted by the up*/down* potential (level, id) ascending: every up
   // edge points to a rank strictly earlier in this order, so a single
   // in-order sweep resolves the climb lengths.
@@ -359,66 +348,19 @@ std::uint64_t PortRotation(std::uint64_t seed, int rank) {
               << 32));
 }
 
-/// BFS distances of every rank to `dst` (hop counts over the undirected
-/// connection graph). Throws if some rank cannot reach dst.
-std::vector<int> DistancesTo(const Topology& topo, int dst) {
-  const int n = topo.num_ranks();
-  std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  std::queue<int> queue;
-  dist[static_cast<std::size_t>(dst)] = 0;
-  queue.push(dst);
-  while (!queue.empty()) {
-    const int at = queue.front();
-    queue.pop();
-    for (const auto& [nbr, port] : topo.Neighbors(at)) {
-      (void)port;
-      if (dist[static_cast<std::size_t>(nbr)] == -1) {
-        dist[static_cast<std::size_t>(nbr)] =
-            dist[static_cast<std::size_t>(at)] + 1;
-        queue.push(nbr);
-      }
-    }
-  }
-  for (int r = 0; r < n; ++r) {
-    if (dist[static_cast<std::size_t>(r)] == -1) {
-      throw RoutingError("rank " + std::to_string(r) + " cannot reach rank " +
-                         std::to_string(dst));
-    }
-  }
-  return dist;
-}
-
 /// The seeded-minimal port of `r` under the distance field `dist`: among
 /// all ports leading one hop closer, pick index (rotation(seed, r) + key)
 /// mod count (see PortRotation). `key` identifies the routing decision
 /// (the table destination), which may differ from the BFS target (Valiant
 /// keys on the final destination while steering toward the intermediate).
+/// `ports` is the caller's scratch buffer for MinimalPorts.
 int SeededMinimalPort(const Topology& topo, const std::vector<int>& dist,
-                      int r, int key, std::uint64_t seed) {
-  int count = 0;
-  for (const auto& [nbr, port] : topo.Neighbors(r)) {
-    (void)port;
-    if (dist[static_cast<std::size_t>(nbr)] ==
-        dist[static_cast<std::size_t>(r)] - 1) {
-      ++count;
-    }
-  }
-  if (count == 0) {
-    throw RoutingError("internal: no minimal port at rank " +
-                       std::to_string(r));
-  }
-  const int pick = static_cast<int>(
+                      int r, int key, std::uint64_t seed,
+                      std::vector<int>& ports) {
+  MinimalPorts(topo, dist, r, ports);
+  return ports[static_cast<std::size_t>(
       (PortRotation(seed, r) + static_cast<std::uint32_t>(key)) %
-      static_cast<unsigned>(count));
-  int i = 0;
-  for (const auto& [nbr, port] : topo.Neighbors(r)) {
-    if (dist[static_cast<std::size_t>(nbr)] ==
-        dist[static_cast<std::size_t>(r)] - 1) {
-      if (i == pick) return port;
-      ++i;
-    }
-  }
-  throw RoutingError("internal: no minimal port at rank " + std::to_string(r));
+      ports.size())];
 }
 
 /// Minimal-adaptive: every (rank, dst) entry picks uniformly (seeded)
@@ -429,11 +371,13 @@ int SeededMinimalPort(const Topology& topo, const std::vector<int>& dist,
 RoutingTable MinimalAdaptiveRoutes(const Topology& topo, std::uint64_t seed) {
   const int n = topo.num_ranks();
   RoutingTable table(n);
+  std::vector<int> ports;
   for (int dst = 0; dst < n; ++dst) {
     const std::vector<int> dist = DistancesTo(topo, dst);
     for (int r = 0; r < n; ++r) {
       if (r == dst) continue;
-      table.set_next_port(r, dst, SeededMinimalPort(topo, dist, r, dst, seed));
+      table.set_next_port(r, dst,
+                          SeededMinimalPort(topo, dist, r, dst, seed, ports));
     }
   }
   return table;
@@ -448,6 +392,7 @@ RoutingTable MinimalAdaptiveRoutes(const Topology& topo, std::uint64_t seed) {
 RoutingTable ValiantRoutes(const Topology& topo, std::uint64_t seed) {
   const int n = topo.num_ranks();
   RoutingTable table(n);
+  std::vector<int> ports;
   for (int dst = 0; dst < n; ++dst) {
     const std::vector<int> dist_dst = DistancesTo(topo, dst);
     const int w = static_cast<int>(Mix(Mix(seed ^ 0x76616c69616e74ull) ^
@@ -458,7 +403,7 @@ RoutingTable ValiantRoutes(const Topology& topo, std::uint64_t seed) {
     on_path[static_cast<std::size_t>(dst)] = true;
     int at = w;
     while (at != dst) {
-      const int port = SeededMinimalPort(topo, dist_dst, at, dst, seed);
+      const int port = SeededMinimalPort(topo, dist_dst, at, dst, seed, ports);
       on_path[static_cast<std::size_t>(at)] = true;
       table.set_next_port(at, dst, port);
       at = topo.Peer(PortId{at, port})->rank;
@@ -468,7 +413,8 @@ RoutingTable ValiantRoutes(const Topology& topo, std::uint64_t seed) {
     const std::vector<int> dist_w = w == dst ? dist_dst : DistancesTo(topo, w);
     for (int r = 0; r < n; ++r) {
       if (r == dst || on_path[static_cast<std::size_t>(r)]) continue;
-      table.set_next_port(r, dst, SeededMinimalPort(topo, dist_w, r, dst, seed));
+      table.set_next_port(r, dst,
+                          SeededMinimalPort(topo, dist_w, r, dst, seed, ports));
     }
   }
   return table;

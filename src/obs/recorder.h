@@ -24,9 +24,8 @@ namespace smi::obs {
 
 class Recorder {
  public:
-  Recorder(bool counters, bool trace) : counters_(counters), trace_(trace) {}
+  explicit Recorder(bool trace) : trace_(trace) {}
 
-  bool counters_enabled() const { return counters_; }
   bool trace_enabled() const { return trace_; }
 
   /// --- registration (engine attach pass; pointers stay valid) ---
@@ -64,7 +63,6 @@ class Recorder {
   json::Value TraceJson() const;
 
  private:
-  bool counters_;
   bool trace_;
   Cycle total_cycles_ = 0;
   std::deque<FifoCounters> fifos_;

@@ -32,12 +32,6 @@ struct ClockConfig {
   double CyclesToMicros(Cycle cycles) const {
     return CyclesToSeconds(cycles) * 1e6;
   }
-  double CyclesToMillis(Cycle cycles) const {
-    return CyclesToSeconds(cycles) * 1e3;
-  }
-  Cycle SecondsToCycles(double seconds) const {
-    return static_cast<Cycle>(seconds * frequency_hz);
-  }
   /// Bandwidth achieved by moving `bytes` in `cycles`, in Gbit/s.
   double GigabitsPerSecond(std::uint64_t bytes, Cycle cycles) const {
     if (cycles == 0) return 0.0;

@@ -660,8 +660,7 @@ RunStats Engine::FinishRun(unsigned partitions) {
 void Engine::EnsureObservability() {
   if (!config_.collect_counters && !config_.collect_trace) return;
   if (recorder_ == nullptr) {
-    recorder_ = std::make_unique<obs::Recorder>(
-        /*counters=*/true, /*trace=*/config_.collect_trace);
+    recorder_ = std::make_unique<obs::Recorder>(config_.collect_trace);
   }
   for (; obs_fifos_ < fifos_.size(); ++obs_fifos_) {
     fifos_[obs_fifos_]->set_counters(

@@ -220,29 +220,11 @@ class Fifo final : public FifoBase {
     return ring_[static_cast<std::size_t>(head_) & mask_];
   }
 
-  /// Modeled bulk push/pop (see FifoBase): port limits are bypassed, the
-  /// commit-semantics bounds (ModeledPushBudget / ModeledPopBudget) are not.
-  void PushModeled(const T& value, Cycle now) {
-    if (ModeledPushBudget() == 0) {
-      throw ConfigError("modeled push on full FIFO: " + name());
-    }
-    EnsureRing();
-    ring_[static_cast<std::size_t>(tail_) & mask_] = value;
-    RecordPush(now);
-  }
-  T PopModeled(Cycle now) {
-    if (ModeledPopBudget() == 0) {
-      throw ConfigError("modeled pop on empty FIFO: " + name());
-    }
-    T value = std::move(ring_[static_cast<std::size_t>(head_) & mask_]);
-    RecordPop(now);
-    return value;
-  }
-
-  /// Bulk modeled push/pop: move `n` elements in one call as (at most two)
-  /// contiguous span copies instead of `n` element operations — the
-  /// flow-level fast path's per-payload cost lives or dies here. Budgets are
-  /// enforced exactly like the single-element modeled operations.
+  /// Modeled bulk push/pop (see FifoBase): move `n` elements in one call as
+  /// (at most two) contiguous span copies instead of `n` element operations
+  /// — the flow-level fast path's per-payload cost lives or dies here. Port
+  /// limits are bypassed, the commit-semantics bounds (ModeledPushBudget /
+  /// ModeledPopBudget) are not.
   void PushBulkModeled(T* data, std::size_t n, Cycle now) {
     if (n == 0) return;
     if (ModeledPushBudget() < n) {

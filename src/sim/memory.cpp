@@ -64,7 +64,6 @@ bool MemoryBank::TryTransfer(Stream& s, Cycle now) {
   }
   s.next_word += s.stride;
   if (s.loop && s.next_word >= s.end_word) s.next_word = s.begin_word;
-  ++words_transferred_;
   return true;
 }
 

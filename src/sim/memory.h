@@ -80,7 +80,6 @@ class MemoryBank final : public Component {
   bool AllStreamsDone() const;
 
   double words_per_cycle() const { return words_per_cycle_; }
-  std::uint64_t words_transferred() const { return words_transferred_; }
 
  private:
   struct Stream {
@@ -103,7 +102,6 @@ class MemoryBank final : public Component {
   bool stepped_ = false;
   Cycle last_step_ = 0;
   std::size_t next_stream_ = 0;
-  std::uint64_t words_transferred_ = 0;
   std::vector<Stream> streams_;
 };
 

@@ -21,6 +21,11 @@ std::string FifoName(std::string_view kind, int rank, int a, int b = -1) {
   return name;
 }
 
+[[noreturn]] void ThrowMissing(const char* what, int rank, int port) {
+  throw ConfigError("rank " + std::to_string(rank) + " has no " + what +
+                    " on port " + std::to_string(port));
+}
+
 }  // namespace
 
 Fabric::Fabric(sim::Engine& engine, const net::Topology& topology,
@@ -116,6 +121,13 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
   const int P = ports_per_rank_;
   const std::string prefix = "r" + std::to_string(r) + ".";
 
+  // The endpoint table, sized to the rank's largest declared port + 1.
+  int max_port = -1;
+  for (const std::vector<int>& ports : {eps.send_ports, eps.recv_ports}) {
+    for (const int p : ports) max_port = std::max(max_port, p);
+  }
+  rank.endpoints.resize(static_cast<std::size_t>(max_port + 1));
+
   // Create the CK modules (only for active ports on a sparse build; the
   // vectors keep nullptr holes so port indexing stays direct).
   const auto is_active = [&active](int q) {
@@ -128,47 +140,35 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
       continue;
     }
     rank.cks.push_back(&engine.MakeComponent<Cks>(
-        prefix + "cks" + std::to_string(q), r, q, config_.poll_r));
+        prefix + "cks" + std::to_string(q), r, q, P, config_.poll_r));
     rank.ckr.push_back(&engine.MakeComponent<Ckr>(
-        prefix + "ckr" + std::to_string(q), r, q, config_.poll_r));
+        prefix + "ckr" + std::to_string(q), r, q, P, config_.poll_r,
+        rank.endpoints));
   }
 
-  // Application send endpoints: port p is served by CKS (p mod P). These are
-  // added as the *first* arbiter inputs, matching the paper's input order
-  // (application, paired CKR, other CKS). A duplicate port would silently
-  // overwrite the endpoint map entry and orphan the first FIFO, so it is
-  // rejected outright.
+  // Application endpoints: port p is served by CKS and CKR (p mod P). The
+  // send FIFOs are added as the *first* arbiter inputs, matching the
+  // paper's input order (application, paired CKR, other CKS); the CKRs find
+  // the receive FIFOs in the endpoint table. A duplicate port would orphan
+  // the first FIFO, so it is rejected outright.
+  const auto declare = [&](int p, PacketFifo* Endpoint::*dir,
+                           std::string_view kind,
+                           const char* what) -> PacketFifo& {
+    PacketFifo*& fifo = rank.endpoints[static_cast<std::size_t>(p)].*dir;
+    if (fifo != nullptr) {
+      throw ConfigError("rank " + std::to_string(r) + " declares " + what +
+                        " port " + std::to_string(p) + " more than once");
+    }
+    fifo = &engine.MakeFifo<net::Packet>(FifoName(kind, r, p),
+                                         config_.endpoint_fifo_depth);
+    return *fifo;
+  };
   for (const int p : eps.send_ports) {
-    if (rank.send_endpoints.count(p) != 0) {
-      throw ConfigError("rank " + std::to_string(r) +
-                        " declares send port " + std::to_string(p) +
-                        " more than once");
-    }
-    const int q = p % P;
-    PacketFifo& fifo = engine.MakeFifo<net::Packet>(
-        FifoName("app->cks", r, p), config_.endpoint_fifo_depth);
-    rank.cks[static_cast<std::size_t>(q)]->AddInput(fifo);
-    rank.send_endpoints[p] = &fifo;
+    rank.cks[static_cast<std::size_t>(p % P)]->AddInput(
+        declare(p, &Endpoint::send, "app->cks", "send"));
   }
-
-  // Application receive endpoints: port p is owned by CKR (p mod P).
   for (const int p : eps.recv_ports) {
-    if (rank.recv_endpoints.count(p) != 0) {
-      throw ConfigError("rank " + std::to_string(r) +
-                        " declares recv port " + std::to_string(p) +
-                        " more than once");
-    }
-    const int q = p % P;
-    PacketFifo& fifo = engine.MakeFifo<net::Packet>(
-        FifoName("ckr->app", r, p), config_.endpoint_fifo_depth);
-    rank.ckr[static_cast<std::size_t>(q)]->AttachEndpoint(p, fifo);
-    rank.recv_endpoints[p] = &fifo;
-    // Every CKR must know the owner so mis-delivered local packets can be
-    // forwarded across the CKR crossbar.
-    for (int other = 0; other < P; ++other) {
-      if (!is_active(other)) continue;
-      rank.ckr[static_cast<std::size_t>(other)]->SetPortOwner(p, q);
-    }
+    declare(p, &Endpoint::recv, "ckr->app", "recv");
   }
 
   // Paired CKR -> CKS (transit packets) and CKS -> paired CKR (local
@@ -177,12 +177,12 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
     if (!is_active(q)) continue;
     PacketFifo& ckr_to_cks = engine.MakeFifo<net::Packet>(
         FifoName("ckr->cks", r, q), config_.crossbar_fifo_depth);
-    rank.ckr[static_cast<std::size_t>(q)]->SetPairedCksOutput(ckr_to_cks);
+    rank.ckr[static_cast<std::size_t>(q)]->SetOutput(q, ckr_to_cks);
     rank.cks[static_cast<std::size_t>(q)]->AddInput(ckr_to_cks);
 
     PacketFifo& cks_to_ckr = engine.MakeFifo<net::Packet>(
         FifoName("cks->ckr", r, q), config_.crossbar_fifo_depth);
-    rank.cks[static_cast<std::size_t>(q)]->SetPairedCkrOutput(cks_to_ckr);
+    rank.cks[static_cast<std::size_t>(q)]->SetOutput(q, cks_to_ckr);
     rank.ckr[static_cast<std::size_t>(q)]->AddInput(cks_to_ckr);
   }
 
@@ -194,13 +194,13 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
       if (q == o || !is_active(o)) continue;
       PacketFifo& cks_x = engine.MakeFifo<net::Packet>(
           FifoName("cks->cks", r, q, o), config_.crossbar_fifo_depth);
-      rank.cks[static_cast<std::size_t>(q)]->SetCksOutput(o, cks_x);
+      rank.cks[static_cast<std::size_t>(q)]->SetOutput(o, cks_x);
       rank.cks[static_cast<std::size_t>(o)]->AddInput(cks_x,
                                                       /*from_crossbar=*/true);
 
       PacketFifo& ckr_x = engine.MakeFifo<net::Packet>(
           FifoName("ckr->ckr", r, q, o), config_.crossbar_fifo_depth);
-      rank.ckr[static_cast<std::size_t>(q)]->SetCkrOutput(o, ckr_x);
+      rank.ckr[static_cast<std::size_t>(q)]->SetOutput(o, ckr_x);
       rank.ckr[static_cast<std::size_t>(o)]->AddInput(ckr_x);
     }
   }
@@ -349,24 +349,42 @@ void Fabric::BuildLinks(
   }
 }
 
+template <class T>
+const T* Fabric::Find(int rank, int port,
+                      std::vector<T> Rank::*table) const {
+  if (rank < 0 || rank >= num_ranks_ || port < 0) return nullptr;
+  const std::vector<T>& entries = ranks_[static_cast<std::size_t>(rank)].*table;
+  return static_cast<std::size_t>(port) < entries.size()
+             ? &entries[static_cast<std::size_t>(port)]
+             : nullptr;
+}
+
 PacketFifo& Fabric::SendEndpoint(int rank, int port) {
-  const auto it =
-      ranks_[static_cast<std::size_t>(rank)].send_endpoints.find(port);
-  if (it == ranks_[static_cast<std::size_t>(rank)].send_endpoints.end()) {
-    throw ConfigError("rank " + std::to_string(rank) +
-                      " has no send endpoint on port " + std::to_string(port));
+  const Endpoint* ep = Find(rank, port, &Rank::endpoints);
+  if (ep == nullptr || ep->send == nullptr) {
+    ThrowMissing("send endpoint", rank, port);
   }
-  return *it->second;
+  return *ep->send;
 }
 
 PacketFifo& Fabric::RecvEndpoint(int rank, int port) {
-  const auto it =
-      ranks_[static_cast<std::size_t>(rank)].recv_endpoints.find(port);
-  if (it == ranks_[static_cast<std::size_t>(rank)].recv_endpoints.end()) {
-    throw ConfigError("rank " + std::to_string(rank) +
-                      " has no recv endpoint on port " + std::to_string(port));
+  const Endpoint* ep = Find(rank, port, &Rank::endpoints);
+  if (ep == nullptr || ep->recv == nullptr) {
+    ThrowMissing("recv endpoint", rank, port);
   }
-  return *it->second;
+  return *ep->recv;
+}
+
+const Cks& Fabric::cks(int rank, int port) const {
+  Cks* const* ck = Find(rank, port, &Rank::cks);
+  if (ck == nullptr || *ck == nullptr) ThrowMissing("CKS", rank, port);
+  return **ck;
+}
+
+const Ckr& Fabric::ckr(int rank, int port) const {
+  Ckr* const* ck = Find(rank, port, &Rank::ckr);
+  if (ck == nullptr || *ck == nullptr) ThrowMissing("CKR", rank, port);
+  return **ck;
 }
 
 void Fabric::UploadRoutes(const net::RoutingTable& routes) {
@@ -567,26 +585,6 @@ json::Value Fabric::FidelityJson() const {
   json::Value report = sim::FidelityReportJson(fidelity.mode, links);
   report.as_object()["fault_pinned_links"] = std::move(pinned);
   return report;
-}
-
-const Cks& Fabric::cks(int rank, int port) const {
-  const Cks* c = ranks_[static_cast<std::size_t>(rank)]
-                     .cks[static_cast<std::size_t>(port)];
-  if (c == nullptr) {
-    throw ConfigError("rank " + std::to_string(rank) +
-                      " has no CKS on inactive port " + std::to_string(port));
-  }
-  return *c;
-}
-
-const Ckr& Fabric::ckr(int rank, int port) const {
-  const Ckr* c = ranks_[static_cast<std::size_t>(rank)]
-                     .ckr[static_cast<std::size_t>(port)];
-  if (c == nullptr) {
-    throw ConfigError("rank " + std::to_string(rank) +
-                      " has no CKR on inactive port " + std::to_string(port));
-  }
-  return *c;
 }
 
 }  // namespace smi::transport

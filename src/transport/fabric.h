@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,6 +106,8 @@ class Fabric final : public sim::LinkDeathSink {
                std::move(endpoints), config, /*sparse=*/false) {}
 
   /// FIFO an application pushes packets into to send on (rank, port).
+  /// This and the three accessors below throw ConfigError naming the rank
+  /// and port when there is no such endpoint or CK.
   PacketFifo& SendEndpoint(int rank, int port);
   /// FIFO an application pops received packets from on (rank, port).
   PacketFifo& RecvEndpoint(int rank, int port);
@@ -134,7 +135,7 @@ class Fabric final : public sim::LinkDeathSink {
 
   /// Total packets delivered over all serial links (traffic statistic).
   std::uint64_t TotalLinkPackets() const;
-  /// Packets forwarded by a specific CKS, e.g. to measure injection rates.
+  /// The CKS/CKR at (rank, port); a sparse build's holes have none.
   const Cks& cks(int rank, int port) const;
   const Ckr& ckr(int rank, int port) const;
 
@@ -142,8 +143,6 @@ class Fabric final : public sim::LinkDeathSink {
   /// object with the plan seed, per-link reliability counters and the
   /// failover history. Stable across schedulers (bit-identical runs).
   json::Value FaultsJson() const;
-  /// Failovers executed so far (permanent link failures rerouted around).
-  std::size_t failover_count() const { return failovers_.size(); }
 
   /// Fidelity report: null when the engine's fidelity policy is kCycle, else
   /// the canonical "fidelity" section (sim::FidelityReportJson) extended
@@ -166,8 +165,7 @@ class Fabric final : public sim::LinkDeathSink {
     /// Indexed by port; nullptr holes on inactive ports of a sparse build.
     std::vector<Cks*> cks;
     std::vector<Ckr*> ckr;
-    std::map<int, PacketFifo*> send_endpoints;  // app port -> FIFO
-    std::map<int, PacketFifo*> recv_endpoints;
+    EndpointTable endpoints;  ///< shared with the rank's CKRs
   };
   /// One bidirectional cable (= two directed links).
   struct Cable {
@@ -197,6 +195,10 @@ class Fabric final : public sim::LinkDeathSink {
   /// builds, cabled-or-endpoint ports for sparse ones.
   void BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
                  const std::vector<bool>& active);
+  /// `(ranks_[rank].*table)[port]`, or null when either index is out of
+  /// range.
+  template <class T>
+  const T* Find(int rank, int port, std::vector<T> Rank::*table) const;
   void BuildLinks(
       sim::Engine& engine,
       const std::vector<std::pair<net::PortId, net::PortId>>& connections);

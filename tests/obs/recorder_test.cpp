@@ -8,7 +8,7 @@ namespace smi::obs {
 namespace {
 
 TEST(Recorder, RegistrationHandsOutStablePointers) {
-  Recorder rec(/*counters=*/true, /*trace=*/false);
+  Recorder rec(/*trace=*/false);
   FifoCounters* first = rec.AddFifo("f0");
   first->OnPush(0);
   // Blocks live in deques, so later registrations must not move `first`.
@@ -20,16 +20,16 @@ TEST(Recorder, RegistrationHandsOutStablePointers) {
 }
 
 TEST(Recorder, TracingFlagPropagatesToLinksAndKernels) {
-  Recorder with(/*counters=*/true, /*trace=*/true);
+  Recorder with(/*trace=*/true);
   EXPECT_TRUE(with.AddLink("l", 5)->trace);
   EXPECT_TRUE(with.AddKernel("k")->trace);
-  Recorder without(/*counters=*/true, /*trace=*/false);
+  Recorder without(/*trace=*/false);
   EXPECT_FALSE(without.AddLink("l", 5)->trace);
   EXPECT_FALSE(without.AddKernel("k")->trace);
 }
 
 TEST(Recorder, CountersJsonCarriesAllSections) {
-  Recorder rec(true, false);
+  Recorder rec(/*trace=*/false);
   FifoCounters* f = rec.AddFifo("rank0/out");
   CkCounters* ck = rec.AddCk("cks 0.0");
   LinkCounters* link = rec.AddLink("link 0-1", 105);
@@ -69,7 +69,7 @@ TEST(Recorder, CountersJsonCarriesAllSections) {
 }
 
 TEST(Recorder, KernelLifetimeEndsAtDoneCycle) {
-  Recorder rec(true, false);
+  Recorder rec(/*trace=*/false);
   KernelProbe* k = rec.AddKernel("early");
   k->OnResume(0);
   k->OnResume(1);
@@ -81,7 +81,7 @@ TEST(Recorder, KernelLifetimeEndsAtDoneCycle) {
 }
 
 TEST(Recorder, SummaryAggregatesAcrossEntities) {
-  Recorder rec(true, false);
+  Recorder rec(/*trace=*/false);
   FifoCounters* f0 = rec.AddFifo("a");
   FifoCounters* f1 = rec.AddFifo("b");
   f0->OnPush(0);
@@ -103,7 +103,7 @@ TEST(Recorder, SummaryAggregatesAcrossEntities) {
 TEST(Recorder, TrimAtOrAfterUndoesOvershoot) {
   // The parallel scheduler's final barrier: updates journaled past the
   // merged finish cycle are undone across every entity class at once.
-  Recorder rec(true, true);
+  Recorder rec(/*trace=*/true);
   FifoCounters* f = rec.AddFifo("f");
   CkCounters* ck = rec.AddCk("ck");
   LinkCounters* link = rec.AddLink("l", 1);
@@ -127,7 +127,7 @@ TEST(Recorder, TrimAtOrAfterUndoesOvershoot) {
 }
 
 TEST(Recorder, TraceDocumentIsChromeShaped) {
-  Recorder rec(true, true);
+  Recorder rec(/*trace=*/true);
   KernelProbe* k = rec.AddKernel("worker");
   LinkCounters* link = rec.AddLink("link 0-1", 2);
   k->OnResume(0);

@@ -187,9 +187,8 @@ TEST(Fifo, NonPowerOfTwoCapacityWrapsCorrectly) {
 // capacity, budgets and occupancy track every operation, and a drain
 // returns what is left.
 TEST(Fifo, AnyKindOfFirstPushBehavesAsBefore) {
-  enum class First { kPush, kPushModeled, kPushBulkModeled };
-  for (const First first :
-       {First::kPush, First::kPushModeled, First::kPushBulkModeled}) {
+  enum class First { kPush, kPushBulkModeled };
+  for (const First first : {First::kPush, First::kPushBulkModeled}) {
     Fifo<int> f("f", 5);
     int next_push = 0;
     int next_pop = 0;
@@ -197,10 +196,6 @@ TEST(Fifo, AnyKindOfFirstPushBehavesAsBefore) {
     switch (first) {
       case First::kPush:
         f.Push(next_push++, now);
-        break;
-      case First::kPushModeled:
-        f.PushModeled(next_push++, now);
-        f.PushModeled(next_push++, now);
         break;
       case First::kPushBulkModeled: {
         int three[] = {0, 1, 2};
@@ -248,7 +243,6 @@ TEST(Fifo, NeverPushedFifoDrainsNothingAndRejectsReads) {
   EXPECT_FALSE(f.push_staged() || f.pop_staged());
   EXPECT_THROW(f.Pop(0), ConfigError);
   EXPECT_THROW(f.Front(0), ConfigError);
-  EXPECT_THROW(f.PopModeled(0), ConfigError);
   int out[1];
   EXPECT_THROW(f.PopBulkModeled(out, 1, 0), ConfigError);
   f.PopBulkModeled(out, 0, 0);  // an empty bulk pop is a no-op

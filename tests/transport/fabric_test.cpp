@@ -196,6 +196,66 @@ TEST(Fabric, MissingEndpointThrows) {
   EXPECT_THROW(fabric.RecvEndpoint(1, 9), ConfigError);
 }
 
+/// Runs `access` and expects a ConfigError whose message names `rank` and
+/// `port`.
+template <class F>
+void ExpectRejected(F access, int rank, int port) {
+  try {
+    access();
+    ADD_FAILURE() << "rank " << rank << " port " << port << " was accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank " + std::to_string(rank)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("port " + std::to_string(port)), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Fabric, AccessorsRejectOutOfRangeRankAndPort) {
+  Engine engine;
+  const Topology topo = Topology::Bus(2);
+  Fabric fabric = MakeSimpleFabric(engine, topo, 0);
+  const int ranks = fabric.num_ranks();
+  const int ports = fabric.ports_per_rank();
+  const std::pair<int, int> bad[] = {{-1, 0}, {ranks, 0}, {0, ports}};
+  for (const auto& [r, p] : bad) {
+    ExpectRejected([&, r = r, p = p] { fabric.SendEndpoint(r, p); }, r, p);
+    ExpectRejected([&, r = r, p = p] { fabric.RecvEndpoint(r, p); }, r, p);
+    ExpectRejected([&, r = r, p = p] { fabric.cks(r, p); }, r, p);
+    ExpectRejected([&, r = r, p = p] { fabric.ckr(r, p); }, r, p);
+  }
+}
+
+TEST(Fabric, PacketForUndeclaredRecvPortThrowsAtFirstCkr) {
+  // Rank 1 declares receive port 0 only; a packet for its port 3 is
+  // rejected by the CKR it first reaches, the one on rank 1's end of the
+  // cable from rank 0.
+  Engine engine;
+  const Topology topo = Topology::Bus(2);
+  Fabric fabric = MakeSimpleFabric(engine, topo, 0);
+  int entry_port = -1;
+  for (const auto& [a, b] : topo.Connections()) {
+    if (a.rank == 1) entry_port = a.port;
+    if (b.rank == 1) entry_port = b.port;
+  }
+  ASSERT_GE(entry_port, 0);
+  std::vector<std::uint32_t> sink;
+  engine.AddKernel(SendPackets(fabric.SendEndpoint(0, 0), 0, 1, 3, 1), "s");
+  engine.AddKernel(RecvPackets(fabric.RecvEndpoint(1, 0), 1, sink), "r");
+  try {
+    engine.Run();
+    ADD_FAILURE() << "the packet for port 3 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "r1.ckr" + std::to_string(entry_port) +
+                  ": packet for unknown port 3"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(sink.empty());
+}
+
 TEST(Fabric, RejectsOversizedWireFields) {
   Engine engine;
   RankEndpoints eps;

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
+#include "obs/recorder.h"
 #include "transport/fabric.h"
 
 namespace smi::transport {
@@ -126,10 +129,42 @@ Kernel RecvPackets(PacketFifo& in, int n, std::vector<std::uint32_t>& sink) {
   }
 }
 
-/// Keeps the run alive (bounded) until the CKS filter has dropped `n`
-/// packets — for scenarios where nothing ever reaches a receiver.
-Kernel TickWhileDroppedBelow(const Cks& cks, std::uint64_t n) {
-  for (int i = 0; i < 2000 && cks.filter_dropped() < n; ++i) {
+/// An engine that collects the telemetry counters the checks read.
+sim::EngineConfig WithCounters() {
+  sim::EngineConfig config;
+  config.collect_counters = true;
+  return config;
+}
+
+/// The handler-side and forwarding numbers of CK `name` in the engine's
+/// counter document: `passed` is the CK's forwarded data packets,
+/// `dropped` its filtered packets and `splits` its fan-out copies.
+struct CkActivity {
+  std::int64_t passed = 0;
+  std::int64_t dropped = 0;
+  std::int64_t splits = 0;
+};
+CkActivity ActivityOf(const Engine& engine, const std::string& name) {
+  const json::Value doc = engine.recorder()->CountersJson();
+  for (const json::Value& row : doc.at("cks").as_array()) {
+    if (row.get_string("name", "") != name) continue;
+    CkActivity a;
+    a.passed = row.at("forwarded").get_int("data", 0);
+    if (row.contains("handler")) {
+      a.dropped = row.at("handler").get_int("filtered", 0);
+      a.splits = row.at("handler").get_int("splits", 0);
+    }
+    return a;
+  }
+  ADD_FAILURE() << "no counter row for " << name;
+  return {};
+}
+
+/// Keeps the run alive (bounded) until CKS r0.cks0's filter has dropped
+/// `n` packets — for scenarios where nothing ever reaches a receiver.
+Kernel TickWhileDroppedBelow(const Engine& engine, std::int64_t n) {
+  for (int i = 0; i < 2000 && ActivityOf(engine, "r0.cks0").dropped < n;
+       ++i) {
     co_await sim::WaitCycles{1};
   }
 }
@@ -146,7 +181,7 @@ Fabric MakeSimpleFabric(Engine& engine, const Topology& topo, int port) {
 }
 
 TEST(HandlerFilter, PassEveryTwoForwardsAlternatePackets) {
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(2);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(2);
@@ -164,12 +199,13 @@ TEST(HandlerFilter, PassEveryTwoForwardsAlternatePackets) {
   engine.Run();
   ASSERT_EQ(sink.size(), 20u);
   for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(sink[i], 2 * i);
-  EXPECT_EQ(fabric.cks(0, 0).filter_passed(), 20u);
-  EXPECT_EQ(fabric.cks(0, 0).filter_dropped(), 20u);
+  const CkActivity cks = ActivityOf(engine, "r0.cks0");
+  EXPECT_EQ(cks.passed, 20);
+  EXPECT_EQ(cks.dropped, 20);
 }
 
 TEST(HandlerFilter, PassEveryZeroDropsEverything) {
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(2);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(2);
@@ -185,10 +221,11 @@ TEST(HandlerFilter, PassEveryZeroDropsEverything) {
   // Nothing ever arrives, so no receiver can keep the run alive (the engine
   // stops the moment the last kernel completes); tick until the CKS has
   // swallowed the whole stream.
-  engine.AddKernel(TickWhileDroppedBelow(fabric.cks(0, 0), 25), "tick");
+  engine.AddKernel(TickWhileDroppedBelow(engine, 25), "tick");
   engine.Run();
-  EXPECT_EQ(fabric.cks(0, 0).filter_dropped(), 25u);
-  EXPECT_EQ(fabric.cks(0, 0).filter_passed(), 0u);
+  const CkActivity cks = ActivityOf(engine, "r0.cks0");
+  EXPECT_EQ(cks.dropped, 25);
+  EXPECT_EQ(cks.passed, 0);
 }
 
 TEST(HandlerFilter, UploadRejectsInvalidTable) {
@@ -207,7 +244,7 @@ TEST(HandlerFilter, UploadRejectsInvalidTable) {
 TEST(HandlerFanOut, LocallyDeliveredPacketIsReplicatedToChildren) {
   // Bus(3): one packet 0 -> 1; rank 1 holds a fan entry toward rank 2, so
   // both 1 and 2 receive the payload and the source address is preserved.
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(3);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(3);
@@ -230,14 +267,14 @@ TEST(HandlerFanOut, LocallyDeliveredPacketIsReplicatedToChildren) {
     EXPECT_EQ(sink1[i], i);
     EXPECT_EQ(sink2[i], i);
   }
-  EXPECT_EQ(fabric.ckr(1, 0).handler_splits(), 10u);
-  EXPECT_EQ(fabric.ckr(2, 0).handler_splits(), 0u);
+  EXPECT_EQ(ActivityOf(engine, "r1.ckr0").splits, 10);
+  EXPECT_EQ(ActivityOf(engine, "r2.ckr0").splits, 0);
 }
 
 TEST(HandlerFanOut, TransitPacketsAreNotReplicated) {
   // Bus(3) again, but the stream is 0 -> 2, passing *through* rank 1. The
   // fan entry keys on local delivery only, so rank 1 must not replicate.
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(3);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(3);
@@ -254,7 +291,7 @@ TEST(HandlerFanOut, TransitPacketsAreNotReplicated) {
   engine.AddKernel(RecvPackets(fabric.RecvEndpoint(2, 0), 15, sink), "r");
   engine.Run();
   ASSERT_EQ(sink.size(), 15u);
-  EXPECT_EQ(fabric.ckr(1, 0).handler_splits(), 0u);
+  EXPECT_EQ(ActivityOf(engine, "r1.ckr0").splits, 0);
 }
 
 }  // namespace
