@@ -43,7 +43,6 @@ void Cluster::Build(const net::Topology& topology,
     throw ConfigError("need one ProgramSpec per rank");
   }
   for (int r = 0; r < num_ranks_; ++r) {
-    is_switch_.push_back(topology.is_switch(r));
     if (topology.is_switch(r) && !specs[static_cast<std::size_t>(r)].empty()) {
       throw ConfigError("rank " + std::to_string(r) +
                         " is a forwarding-only switch and cannot host a "
@@ -64,10 +63,9 @@ void Cluster::Build(const net::Topology& topology,
                                                 std::move(endpoints),
                                                 config.fabric);
 
-  topology_ = topology;  // kept for innet funnel analysis (see below)
-  routes_ = net::ComputeRoutes(topology, config.routing, config.routing_seed,
-                               &routing_fell_back_);
-  fabric_->UploadRoutes(routes_);
+  fabric_->UploadRoutes(net::ComputeRoutes(topology, config.routing,
+                                           config.routing_seed,
+                                           &routing_fell_back_));
 
   // Contexts + collective support kernels. Tagging with the rank keeps the
   // per-rank clock pointers and the support kernels inside the rank's
@@ -171,7 +169,8 @@ Cluster::InnetRoutePlan Cluster::PlanInnetRoutes(const InnetPort& p) const {
   int max_dist = 0;
   for (const int r : p.comm_global) {
     if (r == p.root_global) continue;
-    const std::vector<int> path = routes_.Path(topology_, r, p.root_global);
+    const std::vector<int> path =
+        fabric_->routes().Path(fabric_->topology(), r, p.root_global);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       ++plan.funnel[static_cast<std::size_t>(path[i])];
     }
@@ -235,8 +234,7 @@ void Cluster::ConfigureInnetHandlers(int port, int root_global,
   InnetPort& p = it->second;
   if (!comm_global.empty()) {
     for (const int g : comm_global) {
-      if (g < 0 || g >= num_ranks_ ||
-          is_switch_[static_cast<std::size_t>(g)]) {
+      if (g < 0 || g >= num_ranks_ || fabric_->topology().is_switch(g)) {
         throw ConfigError("in-network reduce communicator member " +
                           std::to_string(g) + " is not a compute rank");
       }
@@ -282,7 +280,7 @@ void Cluster::AddMemoryBanks(int rank, int count, double words_per_cycle) {
 
 void Cluster::AddKernel(int rank, sim::Kernel kernel, const std::string& name) {
   (void)context(rank);  // range check
-  if (is_switch_[static_cast<std::size_t>(rank)]) {
+  if (fabric_->topology().is_switch(rank)) {
     throw ConfigError("rank " + std::to_string(rank) +
                       " is a forwarding-only switch and cannot host kernel " +
                       name);
@@ -291,11 +289,6 @@ void Cluster::AddKernel(int rank, sim::Kernel kernel, const std::string& name) {
   engine_->AddKernel(std::move(kernel),
                      "r" + std::to_string(rank) + "." + name,
                      /*daemon=*/false);
-}
-
-void Cluster::UploadRoutes(const net::RoutingTable& routes) {
-  fabric_->UploadRoutes(routes);
-  routes_ = routes;
 }
 
 RunResult Cluster::Run() {

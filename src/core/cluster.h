@@ -98,7 +98,9 @@ class Cluster {
 
   /// Replace the routing tables (recomputed for a different topology or
   /// rank subset) without rebuilding the fabric.
-  void UploadRoutes(const net::RoutingTable& routes);
+  void UploadRoutes(const net::RoutingTable& routes) {
+    fabric_->UploadRoutes(routes);
+  }
 
   /// Re-target an in-network Reduce port (CollAlgo::kInnet): rebuild and
   /// re-upload the handler tables for `root_global` (and, when non-empty,
@@ -135,7 +137,9 @@ class Cluster {
 
   sim::Engine& engine() { return *engine_; }
   transport::Fabric& fabric() { return *fabric_; }
-  const net::RoutingTable& routes() const { return routes_; }
+  /// The fabric's uploaded routing table (after a failover, the table over
+  /// the surviving cables).
+  const net::RoutingTable& routes() const { return fabric_->routes(); }
   /// True when a seeded scheme's table failed the CDG acyclicity check and
   /// the up*/down* escape table was uploaded instead.
   bool routing_fell_back() const { return routing_fell_back_; }
@@ -176,10 +180,7 @@ class Cluster {
   int num_ranks_ = 0;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<transport::Fabric> fabric_;
-  net::Topology topology_{1, 1};  ///< replaced in Build
-  net::RoutingTable routes_{1};
   std::vector<Context> contexts_;
-  std::vector<bool> is_switch_;
   bool routing_fell_back_ = false;
   std::map<int, InnetPort> innet_ports_;  // port -> configuration
   int innet_hold_cycles_ = 16;

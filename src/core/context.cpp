@@ -42,10 +42,8 @@ const Context::CollPort& Context::FindCollPort(int port, CollKind kind,
 }
 
 CollConfig Context::MakeCollConfig(CollKind kind, int count, DataType type,
-                                   int port, int root,
-                                   const Communicator& comm,
+                                   int root, const Communicator& comm,
                                    int credits) const {
-  (void)port;
   CollConfig cfg;
   cfg.kind = kind;
   cfg.count = count;
@@ -60,7 +58,7 @@ BcastChannel Context::OpenBcastChannel(int count, DataType type, int port,
                                        int root, const Communicator& comm) {
   const CollPort& cp = FindCollPort(port, CollKind::kBcast, type);
   return BcastChannel(
-      MakeCollConfig(CollKind::kBcast, count, type, port, root, comm, 0),
+      MakeCollConfig(CollKind::kBcast, count, type, root, comm, 0),
       rank_, *cp.app_in, *cp.app_out);
 }
 
@@ -94,7 +92,7 @@ ReduceChannel Context::OpenReduceChannel(int count, DataType type, ReduceOp op,
     }
   }
   CollConfig cfg =
-      MakeCollConfig(CollKind::kReduce, count, type, port, root, comm, credits);
+      MakeCollConfig(CollKind::kReduce, count, type, root, comm, credits);
   cfg.op = op;
   if (cp.algo == CollAlgo::kInnet) {
     cfg.pace_wait = cp.innet_pace_wait;
@@ -110,7 +108,7 @@ AllreduceChannel Context::OpenAllreduceChannel(int count, DataType type,
   const CollPort& cp = FindCollPort(port, CollKind::kAllreduce, type);
   // Rootless at the API level; the kernel's reduce/broadcast tree is rooted
   // at communicator rank 0 as an implementation detail.
-  CollConfig cfg = MakeCollConfig(CollKind::kAllreduce, count, type, port,
+  CollConfig cfg = MakeCollConfig(CollKind::kAllreduce, count, type,
                                   /*root=*/0, comm, credits);
   cfg.op = op;
   return AllreduceChannel(std::move(cfg), rank_, *cp.app_in, *cp.app_out);
@@ -121,7 +119,7 @@ ScatterChannel Context::OpenScatterChannel(int count, DataType type, int port,
                                            const Communicator& comm) {
   const CollPort& cp = FindCollPort(port, CollKind::kScatter, type);
   return ScatterChannel(
-      MakeCollConfig(CollKind::kScatter, count, type, port, root, comm, 0),
+      MakeCollConfig(CollKind::kScatter, count, type, root, comm, 0),
       rank_, *cp.app_in, *cp.app_out);
 }
 
@@ -129,7 +127,7 @@ GatherChannel Context::OpenGatherChannel(int count, DataType type, int port,
                                          int root, const Communicator& comm) {
   const CollPort& cp = FindCollPort(port, CollKind::kGather, type);
   return GatherChannel(
-      MakeCollConfig(CollKind::kGather, count, type, port, root, comm, 0),
+      MakeCollConfig(CollKind::kGather, count, type, root, comm, 0),
       rank_, *cp.app_in, *cp.app_out);
 }
 

@@ -100,7 +100,7 @@ class Context {
   };
 
   const CollPort& FindCollPort(int port, CollKind kind, DataType type) const;
-  CollConfig MakeCollConfig(CollKind kind, int count, DataType type, int port,
+  CollConfig MakeCollConfig(CollKind kind, int count, DataType type,
                             int root, const Communicator& comm,
                             int credits) const;
 

@@ -15,7 +15,6 @@ using net::OpType;
 using net::Packet;
 using sim::Cycle;
 using sim::Kernel;
-using sim::NextCycle;
 using sim::fifo_pop;
 using sim::fifo_push;
 
@@ -187,6 +186,20 @@ struct FoldWindow {
       pending_credits.insert(pending_credits.end(), shape.children.begin(),
                              shape.children.end());
     }
+  }
+  /// What the window waits for, for deadlock reports: the next element to
+  /// retire and the sources that have not contributed it yet.
+  std::string Describe() const {
+    std::string missing;
+    const auto add = [&missing](const std::string& who) {
+      missing += (missing.empty() ? " awaiting " : ", ") + who;
+    };
+    if (local_next <= retired) add("the application");
+    for (const auto& [g, next] : child_next) {
+      if (next <= retired) add("rank " + std::to_string(g));
+    }
+    return std::string(kernel) + ": element " + std::to_string(retired) +
+           (missing.empty() ? " complete, awaiting its emit" : missing);
   }
   /// Send one pending credit to a child.
   void SendCredit(Cycle now) {
@@ -388,11 +401,11 @@ Kernel Reduce(SupportCtx ctx, CollAlgo algo) {
       }
       // (4) Send one pending credit to a child.
       w.SendCredit(now);
-      // NextCycle keeps the default poll-every-cycle wake hint, so the
+      // PollingCycle keeps NextCycle's poll-every-cycle wake hint, so the
       // event-driven engine polls this multi-FIFO loop each cycle exactly
       // like the synchronous one — but only while a reduce is in flight;
       // between collectives the kernel parks on the app_in pop above.
-      co_await NextCycle{};
+      co_await sim::PollingCycle{[&w] { return w.Describe(); }};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
@@ -683,7 +696,14 @@ Kernel Allreduce(SupportCtx ctx, CollAlgo algo) {
       }
       // (6) Send one pending credit to a child.
       w.SendCredit(now);
-      co_await NextCycle{};
+      co_await sim::PollingCycle{[&] {
+        if (w.retired < cfg.count) return w.Describe();
+        return "AllreduceSupport: result element " +
+               std::to_string(delivered) +
+               (have_down || is_root || delivered == cfg.count
+                    ? std::string(" awaiting delivery")
+                    : " awaiting rank " + std::to_string(shape.parent));
+      }};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }

@@ -226,7 +226,14 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
                             now);
           --credits_to_send;
         }
-        co_await NextCycle{};
+        co_await sim::PollingCycle{[&] {
+          const int have = contrib[static_cast<std::size_t>(emitted % win)];
+          return "InnetReduceSupport: element " + std::to_string(emitted) +
+                 (have == n ? std::string(" complete, awaiting its emit")
+                            : " awaiting " + std::to_string(n - have) +
+                                  " of " + std::to_string(n) +
+                                  " contributions");
+        }};
       }
       // Close barrier: one final credit multicast releases the non-roots
       // into their next open only after every contribution arrived here —

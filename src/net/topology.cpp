@@ -62,11 +62,14 @@ void Topology::Connect(PortId a, PortId b) {
   const int ib = Index(b);
   if (ia == ib) throw ConfigError("cannot connect a port to itself");
   if (a.rank == b.rank) {
-    throw ConfigError("cannot cable two ports of the same rank");
+    throw ConfigError("cannot cable two ports of the same rank: rank " +
+                      std::to_string(a.rank));
   }
-  if (peer_[static_cast<std::size_t>(ia)] ||
-      peer_[static_cast<std::size_t>(ib)]) {
-    throw ConfigError("port already wired");
+  for (const PortId p : {a, b}) {
+    if (peer_[static_cast<std::size_t>(Index(p))]) {
+      throw ConfigError("port already wired: rank " + std::to_string(p.rank) +
+                        " port " + std::to_string(p.port));
+    }
   }
   peer_[static_cast<std::size_t>(ia)] = b;
   peer_[static_cast<std::size_t>(ib)] = a;

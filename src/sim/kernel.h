@@ -16,7 +16,8 @@
 ///  * Since each FIFO accepts one push and one pop per cycle, a loop body
 ///    containing one pop and one push naturally runs at II = 1 without any
 ///    explicit cycle bookkeeping by the kernel author.
-///  * `co_await NextCycle{}` models a pure compute/pipeline bubble.
+///  * `co_await NextCycle{}` models a pure compute/pipeline bubble;
+///    `PollingCycle` is the same re-poll point with a self-description.
 ///
 /// Exceptions thrown inside a kernel are captured and rethrown by the
 /// engine.
@@ -193,6 +194,21 @@ struct NextCycle final : detail::AwaitableBase<NextCycle> {
 
   bool armed = false;
   Cycle start = 0;
+};
+
+/// Awaitable: NextCycle for a polling loop that can say what it waits for.
+/// It polls exactly like NextCycle and watches nothing; `describe()` — the
+/// loop's own account of the missing input, read off its live state — is
+/// called only for deadlock diagnostics.
+template <typename F>
+struct PollingCycle final : detail::AwaitableBase<PollingCycle<F>> {
+  explicit PollingCycle(F f) : describe(std::move(f)) {}
+  bool TryComplete(Cycle now) override { return bubble.TryComplete(now); }
+  std::string Describe() const override { return describe(); }
+  void await_resume() const noexcept {}
+
+  NextCycle bubble;
+  F describe;
 };
 
 /// Awaitable: suspend until `n` cycles after the cycle in which the wait was

@@ -47,7 +47,7 @@ void Ckr::FanOut(const net::Packet& pkt, const PacketFifo* out) {
     return;
   }
   const HandlerEntry* fan =
-      handlers_.Find(HandlerClass::kFanOut, pkt.hdr.port, pkt.hdr.op);
+      handlers_->Find(HandlerClass::kFanOut, pkt.hdr.port, pkt.hdr.op);
   if (fan == nullptr) return;
   for (const int child : fan->fan_dsts) {
     if (child == local_rank_) continue;

@@ -15,6 +15,9 @@
 ///     application endpoint if that is this CKR, or across the CKR crossbar
 ///     to the CKR that owns it.
 ///
+/// The rank's endpoint and handler tables are the fabric's: one of each per
+/// rank, shared by its CKs, so a CKR keeps no copy.
+///
 /// ## In-network fan-out
 ///
 /// When the rank's handler table (transport/handler.h) holds a fan-out entry
@@ -51,12 +54,11 @@ using EndpointTable = std::vector<Endpoint>;
 class Ckr final : public Ck<Ckr> {
  public:
   Ckr(std::string name, int local_rank, int port_index, int ports_per_rank,
-      int poll_r, const EndpointTable& endpoints)
+      int poll_r, const EndpointTable& endpoints,
+      const HandlerTable& handlers)
       : Ck(std::move(name), local_rank, port_index, ports_per_rank, poll_r),
-        endpoints_(&endpoints) {}
-
-  /// Install the rank's in-network handler table (validated by the fabric).
-  void UploadHandlers(HandlerTable table) { handlers_ = std::move(table); }
+        endpoints_(&endpoints),
+        handlers_(&handlers) {}
 
  private:
   friend class Ck<Ckr>;
@@ -68,7 +70,7 @@ class Ckr final : public Ck<Ckr> {
   }
   bool QueuePending() const { return !fan_queue_.empty(); }
   void Forwarded(const net::Packet& pkt, const PacketFifo* out) {
-    if (!handlers_.empty()) FanOut(pkt, out);
+    if (!handlers_->empty()) FanOut(pkt, out);
   }
   void AppendOutputs(std::vector<const sim::FifoBase*>& out) const;
 
@@ -78,7 +80,7 @@ class Ckr final : public Ck<Ckr> {
   void FanOut(const net::Packet& pkt, const PacketFifo* out);
 
   const EndpointTable* endpoints_;
-  HandlerTable handlers_;
+  const HandlerTable* handlers_;
   std::deque<net::Packet> fan_queue_;  ///< replicated copies awaiting injection
 };
 

@@ -9,14 +9,13 @@ namespace smi::transport {
 PacketFifo* Cks::Route(const net::Packet& pkt) const {
   const int dst = pkt.hdr.dst;
   if (dst == local_rank_) return Output(port_index_);
-  if (next_port_.empty()) {
-    throw ConfigError(name() + ": no routing table uploaded");
-  }
-  if (dst < 0 || dst >= static_cast<int>(next_port_.size())) {
+  const int ranks = routes_->num_ranks();
+  if (ranks == 0) throw ConfigError(name() + ": no routing table uploaded");
+  if (dst < 0 || dst >= ranks) {
     throw ConfigError(name() + ": packet for out-of-range rank " +
                       std::to_string(dst));
   }
-  const int q = next_port_[static_cast<std::size_t>(dst)];
+  const int q = routes_->next_port(local_rank_, dst);
   if (q < 0) {
     throw ConfigError(name() + ": routing table has no route to rank " +
                       std::to_string(dst));
@@ -76,9 +75,9 @@ bool Cks::RunHandlers(PacketFifo& in, bool pushed, sim::Cycle now) {
       std::find(xbar_inputs_.begin(), xbar_inputs_.end(), &in) !=
       xbar_inputs_.end();
   // Count/filter: drop-or-pass predicate with counted side channel.
-  const std::size_t n = handlers_.size();
+  const std::size_t n = handlers_->size();
   for (std::size_t i = 0; !from_crossbar && i < n; ++i) {
-    const HandlerEntry& e = handlers_.entries()[i];
+    const HandlerEntry& e = handlers_->entries()[i];
     if (e.cls != HandlerClass::kFilter || e.port != front.hdr.port ||
         e.op != front.hdr.op) {
       continue;
@@ -97,7 +96,7 @@ bool Cks::RunHandlers(PacketFifo& in, bool pushed, sim::Cycle now) {
   }
   // Reduce-in-transit: only at the network egress of this rank (where every
   // stream toward the destination converges) and never on local deliveries.
-  const HandlerEntry* combine = handlers_.Find(
+  const HandlerEntry* combine = handlers_->Find(
       HandlerClass::kReduceCombine, front.hdr.port, front.hdr.op);
   if (combine == nullptr || front.hdr.dst == local_rank_ ||
       to_net_ == nullptr || Route(front) != to_net_) {

@@ -12,8 +12,11 @@
 ///   * destination == local rank  -> the paired CKR (local delivery);
 ///   * route's out-port == own port -> the network interface;
 ///   * otherwise -> the CKS that owns the route's out-port.
-/// The table is uploaded at runtime and can be replaced without rebuilding
-/// the fabric.
+/// The table is the fabric's one `net::RoutingTable`: the CKS reads its
+/// rank's row there, so an upload at runtime reroutes every CKS at once
+/// without rebuilding the fabric. A CKS sleeping on a stalled packet must be
+/// stepped after a mid-run upload, which may reroute that packet (the fabric
+/// wakes every CKS at a failover).
 ///
 /// ## Recovery queue
 ///
@@ -28,9 +31,11 @@
 ///
 /// ## In-network handlers
 ///
-/// When a handler table is uploaded (see transport/handler.h), the CKS runs
-/// the filter and reduce-in-transit handlers on its forwarding path. The
-/// combine buffer holds up to kCombineSlots data packets at the network
+/// When its rank's handler table (see transport/handler.h), which the fabric
+/// keeps once per rank and shares with the rank's CKSes and CKRs, holds
+/// entries, the CKS runs the filter and reduce-in-transit handlers on its
+/// forwarding path; of the table's state it keeps only its own filter phase.
+/// The combine buffer holds up to kCombineSlots data packets at the network
 /// egress; a packet matching a buffered one (same destination, port and
 /// envelope base) is folded into it instead of forwarded, and a buffered
 /// packet leaves when its hold window expires or its contribution count
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "net/routing.h"
 #include "transport/ck.h"
 #include "transport/handler.h"
 
@@ -56,7 +62,14 @@ class Cks final : public Ck<Cks> {
   /// hardware combine stage would synthesize.
   static constexpr int kCombineSlots = 8;
 
-  using Ck::Ck;
+  /// `routes` and `handlers` are the fabric's routing table and this rank's
+  /// handler table; both outlive the CKS and change only by upload.
+  Cks(std::string name, int local_rank, int port_index, int ports_per_rank,
+      int poll_r, const net::RoutingTable& routes,
+      const HandlerTable& handlers)
+      : Ck(std::move(name), local_rank, port_index, ports_per_rank, poll_r),
+        routes_(&routes),
+        handlers_(&handlers) {}
 
   /// `from_crossbar` marks inputs fed by a sibling CKS of the same rank:
   /// packets arriving there already ran the rank's filter handler at the
@@ -66,25 +79,11 @@ class Cks final : public Ck<Cks> {
     if (from_crossbar) xbar_inputs_.push_back(&fifo);
   }
   void SetNetworkOutput(PacketFifo& fifo) { to_net_ = &fifo; }
-  /// Whether this CKS's network interface is cabled (used to validate
-  /// uploaded routing tables against the actual wiring).
-  bool has_network_output() const { return to_net_ != nullptr; }
 
-  /// `next_port[d]` = network port this rank uses toward rank d (may be -1
-  /// for d == local rank). A CKS sleeping on a stalled packet must be
-  /// stepped after a mid-run upload, which may reroute that packet (the
-  /// fabric wakes every CKS at a failover).
-  void UploadRoutes(std::vector<int> next_port) {
-    next_port_ = std::move(next_port);
-  }
-
-  /// Install the rank's in-network handler table (validated by the fabric).
-  /// Resets the per-entry filter phase; the combine buffer must be empty
-  /// (tables are uploaded before traffic flows).
-  void UploadHandlers(HandlerTable table) {
-    handlers_ = std::move(table);
-    filter_seen_.assign(handlers_.size(), 0);
-  }
+  /// Reset the per-entry filter phase after the fabric uploaded a new
+  /// handler table; the combine buffer must be empty (tables are uploaded
+  /// before traffic flows).
+  void ResetFilterPhase() { filter_seen_.assign(handlers_->size(), 0); }
 
   /// Queue packets stranded by a link failover (see the file comment).
   void InjectRecovered(std::vector<net::Packet> packets) {
@@ -116,7 +115,7 @@ class Cks final : public Ck<Cks> {
   sim::Cycle HeldWake(sim::Cycle wake, sim::Cycle now) const;
   bool Intercept(PacketFifo& in, bool pushed, sim::Cycle now) {
     pending_filter_ = filter_seen_.size();
-    return !handlers_.empty() && RunHandlers(in, pushed, now);
+    return !handlers_->empty() && RunHandlers(in, pushed, now);
   }
   void Forwarded(const net::Packet&, const PacketFifo*) { ConsumeFilter(); }
   void AppendOutputs(std::vector<const sim::FifoBase*>& out) const {
@@ -134,9 +133,9 @@ class Cks final : public Ck<Cks> {
 
   PacketFifo* to_net_ = nullptr;
   std::vector<const PacketFifo*> xbar_inputs_;  ///< see AddInput
-  std::vector<int> next_port_;
+  const net::RoutingTable* routes_;   ///< the fabric's table
+  const HandlerTable* handlers_;      ///< the rank's table
   std::deque<net::Packet> recovery_;  ///< see the file comment
-  HandlerTable handlers_;
   CombineSlot combine_[kCombineSlots];
   std::size_t combine_held_ = 0;  ///< busy slots in combine_
   std::vector<std::uint64_t> filter_seen_;  ///< per-entry match phase

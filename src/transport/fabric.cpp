@@ -30,34 +30,23 @@ std::string FifoName(std::string_view kind, int rank, int a, int b = -1) {
 
 Fabric::Fabric(sim::Engine& engine, const net::Topology& topology,
                std::vector<RankEndpoints> endpoints, FabricConfig config)
-    : Fabric(engine, topology.num_ranks(), topology.ports_per_rank(),
-             topology.Connections(), std::move(endpoints), config,
-             topology.has_switches()) {}
-
-Fabric::Fabric(
-    sim::Engine& engine, int num_ranks, int ports_per_rank,
-    const std::vector<std::pair<net::PortId, net::PortId>>& connections,
-    std::vector<RankEndpoints> endpoints, FabricConfig config, bool sparse)
     : engine_(&engine),
-      num_ranks_(num_ranks),
-      ports_per_rank_(ports_per_rank),
+      topology_(topology),
+      routes_(std::make_unique<net::RoutingTable>(0)),
       config_(config) {
-  if (num_ranks_ < 1) throw ConfigError("fabric needs at least one rank");
-  if (ports_per_rank_ < 1) {
-    throw ConfigError("fabric needs at least one port per rank");
-  }
-  if (num_ranks_ > net::kMaxWideWireRank + 1) {
+  const int ranks = topology_.num_ranks();
+  if (ranks > net::kMaxWideWireRank + 1) {
     throw ConfigError("fabric exceeds the 12-bit wide wire rank field");
   }
   // Fault plans corrupt/checksum the serialized 32-byte COMPACT wire image
   // (ToWire truncates ranks to 8 bits), so reliable-link fabrics must fit
   // the compact header; the wide format only carries lossless in-sim links.
-  if (config_.fault.enabled && num_ranks_ > net::kMaxWireRank + 1) {
+  if (config_.fault.enabled && ranks > net::kMaxWireRank + 1) {
     throw ConfigError(
         "fault plans operate on the compact 8-bit wire header; fabrics over " +
         std::to_string(net::kMaxWireRank + 1) + " ranks cannot enable them");
   }
-  if (endpoints.size() != static_cast<std::size_t>(num_ranks_)) {
+  if (endpoints.size() != static_cast<std::size_t>(ranks)) {
     throw ConfigError("endpoint specs must cover every rank");
   }
   for (const RankEndpoints& eps : endpoints) {
@@ -73,42 +62,34 @@ Fabric::Fabric(
     }
   }
 
-  // Active ports per rank: everything for a dense build; cabled ports plus
-  // the CKs endpoints map onto (p mod P) for a sparse one. Cabled ports are
-  // active on both ends, so BuildLinks below never touches a null CK.
-  const std::size_t P = static_cast<std::size_t>(ports_per_rank_);
+  // Active ports per rank get CK pairs: every port on a dense build; on a
+  // sparse one the cabled ports (active on both ends, so BuildLinks never
+  // touches a null CK) plus the CKs endpoints map onto (p mod P).
+  const int P = ports_per_rank();
+  const bool sparse = topology_.has_switches();
   std::vector<std::vector<bool>> active(
-      static_cast<std::size_t>(num_ranks_),
-      std::vector<bool>(P, !sparse));
-  if (sparse) {
-    for (const auto& [a, b] : connections) {
-      for (const net::PortId pid : {a, b}) {
-        if (pid.rank >= 0 && pid.rank < num_ranks_ && pid.port >= 0 &&
-            pid.port < ports_per_rank_) {  // full checks re-run in BuildLinks
-          active[static_cast<std::size_t>(pid.rank)]
-                [static_cast<std::size_t>(pid.port)] = true;
-        }
-      }
+      static_cast<std::size_t>(ranks),
+      std::vector<bool>(static_cast<std::size_t>(P), !sparse));
+  for (int r = 0; sparse && r < ranks; ++r) {
+    std::vector<bool>& rank_active = active[static_cast<std::size_t>(r)];
+    for (int q = 0; q < P; ++q) {
+      rank_active[static_cast<std::size_t>(q)] =
+          topology_.Peer(net::PortId{r, q}).has_value();
     }
-    for (int r = 0; r < num_ranks_; ++r) {
-      const RankEndpoints& eps = endpoints[static_cast<std::size_t>(r)];
-      for (const std::vector<int>& ports : {eps.send_ports, eps.recv_ports}) {
-        for (const int p : ports) {
-          if (p >= 0) {
-            active[static_cast<std::size_t>(r)][static_cast<std::size_t>(
-                p % ports_per_rank_)] = true;
-          }
-        }
+    const RankEndpoints& eps = endpoints[static_cast<std::size_t>(r)];
+    for (const std::vector<int>& ports : {eps.send_ports, eps.recv_ports}) {
+      for (const int p : ports) {
+        rank_active[static_cast<std::size_t>(p % P)] = true;
       }
     }
   }
 
-  ranks_.resize(static_cast<std::size_t>(num_ranks_));
-  for (int r = 0; r < num_ranks_; ++r) {
+  ranks_.resize(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
     BuildRank(engine, r, endpoints[static_cast<std::size_t>(r)],
               active[static_cast<std::size_t>(r)]);
   }
-  BuildLinks(engine, connections);
+  BuildLinks(engine);
   engine.SetPartitionTag(sim::Engine::kUntaggedPartition);
 }
 
@@ -118,7 +99,7 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
   // boundary the parallel scheduler needs: tag it all with the rank id.
   engine.SetPartitionTag(r);
   Rank& rank = ranks_[static_cast<std::size_t>(r)];
-  const int P = ports_per_rank_;
+  const int P = ports_per_rank();
   const std::string prefix = "r" + std::to_string(r) + ".";
 
   // The endpoint table, sized to the rank's largest declared port + 1.
@@ -140,10 +121,11 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
       continue;
     }
     rank.cks.push_back(&engine.MakeComponent<Cks>(
-        prefix + "cks" + std::to_string(q), r, q, P, config_.poll_r));
+        prefix + "cks" + std::to_string(q), r, q, P, config_.poll_r,
+        *routes_, rank.handlers));
     rank.ckr.push_back(&engine.MakeComponent<Ckr>(
         prefix + "ckr" + std::to_string(q), r, q, P, config_.poll_r,
-        rank.endpoints));
+        rank.endpoints, rank.handlers));
   }
 
   // Application endpoints: port p is served by CKS and CKR (p mod P). The
@@ -206,31 +188,7 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
   }
 }
 
-void Fabric::BuildLinks(
-    sim::Engine& engine,
-    const std::vector<std::pair<net::PortId, net::PortId>>& connections) {
-  // The cable list may come from a machine-generated file rather than a
-  // validated Topology, so every index is range-checked before it is used to
-  // address the cks/ckr vectors, and each (rank, port) network interface may
-  // be wired at most once — a second SetNetworkOutput/AddInput would
-  // silently rewire the interface.
-  const auto check = [this](net::PortId p) {
-    if (p.rank < 0 || p.rank >= num_ranks_ || p.port < 0 ||
-        p.port >= ports_per_rank_) {
-      throw ConfigError("connection references port out of range: rank " +
-                        std::to_string(p.rank) + " port " +
-                        std::to_string(p.port));
-    }
-  };
-  const auto iface = [this](net::PortId p) {
-    return static_cast<std::size_t>(p.rank) *
-               static_cast<std::size_t>(ports_per_rank_) +
-           static_cast<std::size_t>(p.port);
-  };
-  std::vector<bool> wired(
-      static_cast<std::size_t>(num_ranks_) *
-          static_cast<std::size_t>(ports_per_rank_),
-      false);
+void Fabric::BuildLinks(sim::Engine& engine) {
   const fault::FaultPlan& plan = config_.fault;
   sim::ReliableLinkConfig rcfg;
   if (plan.enabled) {
@@ -249,23 +207,7 @@ void Fabric::BuildLinks(
       engine.ConstrainEpochLength(failover_delay_);
     }
   }
-  for (const auto& [a, b] : connections) {
-    check(a);
-    check(b);
-    if (a.rank == b.rank) {
-      throw ConfigError("cannot cable two ports of the same rank: rank " +
-                        std::to_string(a.rank));
-    }
-    for (const net::PortId p : {a, b}) {
-      if (wired[iface(p)]) {
-        throw ConfigError("network interface wired twice: rank " +
-                          std::to_string(p.rank) + " port " +
-                          std::to_string(p.port));
-      }
-      wired[iface(p)] = true;
-    }
-    const std::size_t cable_index = cables_.size();
-    cables_.push_back(Cable{a, b, 0, 0, true});
+  for (const auto& [a, b] : topology_.Connections()) {
     // Hybrid-fidelity selection (see sim/fidelity.h) is per *cable*: a cable
     // with an active fault spec on either direction keeps the cycle-accurate
     // reliable build for both (injected faults are always timed exactly, and
@@ -314,7 +256,6 @@ void Fabric::BuildLinks(
       LinkRec rec;
       rec.from = from;
       rec.to = to;
-      rec.cable = cable_index;
       rec.tx = &tx;
       if (plan.enabled && (!fidelity.enabled() || cable_fault_pinned)) {
         sim::ReliableLink<net::Packet>& link =
@@ -339,11 +280,6 @@ void Fabric::BuildLinks(
         engine.MarkCutComponent(link, link, from.rank, to.rank);
         rec.link = &link;
       }
-      if (from.rank == a.rank) {
-        cables_[cable_index].fwd_link = link_index;
-      } else {
-        cables_[cable_index].rev_link = link_index;
-      }
       link_recs_.push_back(rec);
     }
   }
@@ -352,7 +288,7 @@ void Fabric::BuildLinks(
 template <class T>
 const T* Fabric::Find(int rank, int port,
                       std::vector<T> Rank::*table) const {
-  if (rank < 0 || rank >= num_ranks_ || port < 0) return nullptr;
+  if (rank < 0 || rank >= num_ranks() || port < 0) return nullptr;
   const std::vector<T>& entries = ranks_[static_cast<std::size_t>(rank)].*table;
   return static_cast<std::size_t>(port) < entries.size()
              ? &entries[static_cast<std::size_t>(port)]
@@ -388,55 +324,42 @@ const Ckr& Fabric::ckr(int rank, int port) const {
 }
 
 void Fabric::UploadRoutes(const net::RoutingTable& routes) {
-  if (routes.num_ranks() != num_ranks_) {
+  const int ranks = num_ranks();
+  if (routes.num_ranks() != ranks) {
     throw ConfigError("routing table rank count does not match fabric");
   }
-  // Validate every entry against the fabric's wiring *before* touching any
-  // CKS, so a corrupt table is rejected whole instead of half-uploaded and
+  // Validate every entry against the wiring *before* replacing the table,
+  // so a corrupt table is rejected whole instead of half-uploaded and
   // diagnosed here instead of mid-run inside Cks::Route.
-  for (int r = 0; r < num_ranks_; ++r) {
-    for (int d = 0; d < num_ranks_; ++d) {
+  for (int r = 0; r < ranks; ++r) {
+    for (int d = 0; d < ranks; ++d) {
       if (r == d) continue;
       const int q = routes.next_port(r, d);
-      if (q < 0 || q >= ports_per_rank_) {
+      if (q < 0 || q >= ports_per_rank()) {
         throw ConfigError("routing table entry (" + std::to_string(r) + ", " +
                           std::to_string(d) + ") uses out-of-range port " +
                           std::to_string(q));
       }
-      const Cks* cks =
-          ranks_[static_cast<std::size_t>(r)].cks[static_cast<std::size_t>(q)];
-      if (cks == nullptr || !cks->has_network_output()) {
+      if (!topology_.Peer(net::PortId{r, q})) {
         throw ConfigError("routing table entry (" + std::to_string(r) + ", " +
                           std::to_string(d) + ") uses unwired network port " +
                           std::to_string(q) + " of rank " + std::to_string(r));
       }
     }
   }
-  for (int r = 0; r < num_ranks_; ++r) {
-    std::vector<int> next_port(static_cast<std::size_t>(num_ranks_));
-    for (int d = 0; d < num_ranks_; ++d) {
-      next_port[static_cast<std::size_t>(d)] = routes.next_port(r, d);
-    }
-    for (Cks* cks : ranks_[static_cast<std::size_t>(r)].cks) {
-      if (cks != nullptr) cks->UploadRoutes(next_port);
-    }
-  }
-  routes_uploaded_ = true;
+  *routes_ = routes;
 }
 
 void Fabric::UploadHandlers(const std::vector<HandlerTable>& tables) {
-  if (tables.size() != static_cast<std::size_t>(num_ranks_)) {
+  if (tables.size() != ranks_.size()) {
     throw ConfigError("need one handler table per rank");
   }
-  // Validate every table before touching any CK, like UploadRoutes.
-  for (const HandlerTable& table : tables) table.Validate(num_ranks_);
-  for (int r = 0; r < num_ranks_; ++r) {
-    const HandlerTable& table = tables[static_cast<std::size_t>(r)];
-    for (Cks* cks : ranks_[static_cast<std::size_t>(r)].cks) {
-      if (cks != nullptr) cks->UploadHandlers(table);
-    }
-    for (Ckr* ckr : ranks_[static_cast<std::size_t>(r)].ckr) {
-      if (ckr != nullptr) ckr->UploadHandlers(table);
+  // Validate every table before replacing any, like UploadRoutes.
+  for (const HandlerTable& table : tables) table.Validate(num_ranks());
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    ranks_[r].handlers = tables[r];
+    for (Cks* cks : ranks_[r].cks) {
+      if (cks != nullptr) cks->ResetFilterPhase();
     }
   }
 }
@@ -460,32 +383,37 @@ void Fabric::OnLinkDead(std::size_t link_id, sim::Cycle now) {
 
 void Fabric::ExecuteFailover(std::size_t link_id, sim::Cycle death_cycle,
                              sim::Cycle now) {
-  LinkRec& dead_rec = link_recs_[link_id];
+  const LinkRec& dead_rec = link_recs_[link_id];
   // The final-epoch trim can resurrect a death that happened after the
   // completion cycle; the scheduled event still fires on a later run and
   // must then do nothing. Likewise a cable whose other direction already
-  // triggered the failover.
+  // triggered the failover, which removed it from the topology.
   if (dead_rec.rlink == nullptr || !dead_rec.rlink->dead()) return;
-  Cable& cable = cables_[dead_rec.cable];
-  if (!cable.alive) return;
-  cable.alive = false;
+  const std::size_t fwd = link_id & ~std::size_t{1};  // see LinkRec
+  const net::PortId a = link_recs_[fwd].from;
+  const net::PortId b = link_recs_[fwd].to;
+  if (!topology_.Peer(a)) return;
   const std::string cable_key =
-      fault::CableKey(cable.a.rank, cable.a.port, cable.b.rank, cable.b.port);
+      fault::CableKey(a.rank, a.port, b.rank, b.port);
 
   // Recompute deadlock-free routes over the surviving cables and re-upload
   // through the validating path. A disconnected survivor graph is
   // unrecoverable: report it as a routing failure at the failover cycle.
-  net::Topology topo(num_ranks_, ports_per_rank_);
-  for (const Cable& c : cables_) {
-    if (c.alive) topo.Connect(c.a, c.b);
+  net::Topology survivors(num_ranks(), ports_per_rank());
+  for (const auto& [x, y] : topology_.Connections()) {
+    if (!(x == a)) survivors.Connect(x, y);
   }
-  if (!topo.IsConnected()) {
+  for (int r = 0; r < num_ranks(); ++r) {
+    if (topology_.is_switch(r)) survivors.MarkSwitch(r);
+  }
+  if (!survivors.IsConnected()) {
     throw RoutingError("link failover: cable " + cable_key +
                        " died at cycle " + std::to_string(death_cycle) +
                        " and the surviving cables leave the cluster "
                        "disconnected");
   }
-  UploadRoutes(net::ComputeRoutes(topo, net::RoutingScheme::kAuto));
+  topology_ = std::move(survivors);
+  UploadRoutes(net::ComputeRoutes(topology_, net::RoutingScheme::kAuto));
   // A CKS sleeping on a stalled packet retries it with the new table this
   // cycle, as per-cycle stepping would.
   for (const Rank& rank : ranks_) {
@@ -500,9 +428,7 @@ void Fabric::ExecuteFailover(std::size_t link_id, sim::Cycle death_cycle,
   // sending CKS for routing over the new tables. Lower link index first so
   // the order is a pure function of the fabric, not of the reporting race.
   std::uint64_t recovered_total = 0;
-  std::size_t ids[2] = {cable.fwd_link, cable.rev_link};
-  if (ids[1] < ids[0]) std::swap(ids[0], ids[1]);
-  for (const std::size_t id : ids) {
+  for (const std::size_t id : {fwd, fwd + 1}) {
     LinkRec& rec = link_recs_[id];
     std::vector<net::Packet> recovered = rec.rlink->TakeUndelivered();
     std::vector<net::Packet> queued = rec.tx->DrainAll(now);

@@ -7,6 +7,13 @@
 /// crossbar FIFOs between them (Fig. 7), the application endpoint FIFOs, and
 /// the serial links between ranks as cabled by the topology.
 ///
+/// The fabric has one constructor, from a `net::Topology`, which it keeps:
+/// `Topology::Connect` validates every cable, so machine-generated cabling
+/// (deployment JSON) enters through `Topology::FromJson`. The fabric is the
+/// one owner of wiring and forwarding state: the topology, the one uploaded
+/// routing table whose rank rows the CKSes read, and one endpoint table and
+/// one in-network handler table per rank, shared by that rank's CKs.
+///
 /// The set of application endpoints per rank is part of the fabric — in the
 /// paper it is baked into the bitstream by the code generator — while the
 /// routing tables are uploaded afterwards and can be replaced at runtime
@@ -21,14 +28,16 @@
 /// retransmission, and — for plans with a finite retry budget — permanent
 /// death detection. A death is reported through `sim::LinkDeathSink` into a
 /// deterministic engine global event that fires `failover_delay` cycles
-/// later: the fabric marks the cable dead, recomputes deadlock-free routes
-/// over the surviving cables, re-uploads them through the validating
-/// `UploadRoutes`, and re-queues every undelivered in-flight payload of both
-/// directions into the sending CKS (`Cks::InjectRecovered`). `FaultsJson`
-/// exposes the per-link reliability counters and the failover history.
+/// later: the fabric replaces its topology with the surviving cables (switch
+/// marks kept), recomputes deadlock-free routes over it, re-uploads them
+/// through the validating `UploadRoutes`, and re-queues every undelivered
+/// in-flight payload of both directions into the sending CKS
+/// (`Cks::InjectRecovered`). `FaultsJson` exposes the per-link reliability
+/// counters and the failover history.
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,17 +103,6 @@ class Fabric final : public sim::LinkDeathSink {
   Fabric(sim::Engine& engine, const net::Topology& topology,
          std::vector<RankEndpoints> endpoints, FabricConfig config = {});
 
-  /// Build from a raw cable list instead of a validated Topology — the entry
-  /// point for machine-generated cabling (e.g. deployment JSON). Every
-  /// connection is validated: rank and port indices must be in range, a
-  /// cable cannot join two ports of the same rank, and no (rank, port)
-  /// network interface may be wired twice. The fabric is wired densely.
-  Fabric(sim::Engine& engine, int num_ranks, int ports_per_rank,
-         const std::vector<std::pair<net::PortId, net::PortId>>& connections,
-         std::vector<RankEndpoints> endpoints, FabricConfig config = {})
-      : Fabric(engine, num_ranks, ports_per_rank, connections,
-               std::move(endpoints), config, /*sparse=*/false) {}
-
   /// FIFO an application pushes packets into to send on (rank, port).
   /// This and the three accessors below throw ConfigError naming the rank
   /// and port when there is no such endpoint or CK.
@@ -112,25 +110,30 @@ class Fabric final : public sim::LinkDeathSink {
   /// FIFO an application pops received packets from on (rank, port).
   PacketFifo& RecvEndpoint(int rank, int port);
 
-  /// Upload next-hop routing tables to every CKS (runtime-configurable).
+  /// Replace the routing table every CKS reads (runtime-configurable);
+  /// validated whole against the wiring before it replaces the old one.
   void UploadRoutes(const net::RoutingTable& routes);
 
-  /// Upload one in-network handler table per rank to every CKS and CKR of
-  /// that rank (see transport/handler.h); validated whole before any upload,
-  /// like the routing tables. Upload before traffic flows — the combine
-  /// buffers must be empty when the table changes.
+  /// Replace each rank's in-network handler table (see transport/handler.h),
+  /// shared by that rank's CKSes and CKRs; validated whole before any
+  /// upload, like the routing tables. Upload before traffic flows — the
+  /// combine buffers must be empty when the table changes.
   void UploadHandlers(const std::vector<HandlerTable>& tables);
 
-  int num_ranks() const { return num_ranks_; }
-  int ports_per_rank() const { return ports_per_rank_; }
+  int num_ranks() const { return topology_.num_ranks(); }
+  int ports_per_rank() const { return topology_.ports_per_rank(); }
+  /// The cabling; after a failover, the surviving cables.
+  const net::Topology& topology() const { return topology_; }
+  /// The uploaded routing table (no ranks before the first upload).
+  const net::RoutingTable& routes() const { return *routes_; }
   const FabricConfig& config() const { return config_; }
 
   /// The wire header format this fabric's rank count requires: compact
   /// (the paper's 4-byte header, up to 256 ranks) or wide (40-bit header,
   /// up to 4096 ranks). See net/packet.h.
   net::WireFormat wire_format() const {
-    return num_ranks_ > net::kMaxWireRank + 1 ? net::WireFormat::kWide
-                                              : net::WireFormat::kCompact;
+    return num_ranks() > net::kMaxWireRank + 1 ? net::WireFormat::kWide
+                                               : net::WireFormat::kCompact;
   }
 
   /// Total packets delivered over all serial links (traffic statistic).
@@ -155,31 +158,20 @@ class Fabric final : public sim::LinkDeathSink {
   void OnLinkDead(std::size_t link_id, sim::Cycle now) override;
 
  private:
-  /// Shared by both public constructors; `sparse` selects sparse wiring.
-  Fabric(sim::Engine& engine, int num_ranks, int ports_per_rank,
-         const std::vector<std::pair<net::PortId, net::PortId>>& connections,
-         std::vector<RankEndpoints> endpoints, FabricConfig config,
-         bool sparse);
-
   struct Rank {
     /// Indexed by port; nullptr holes on inactive ports of a sparse build.
     std::vector<Cks*> cks;
     std::vector<Ckr*> ckr;
     EndpointTable endpoints;  ///< shared with the rank's CKRs
+    HandlerTable handlers;    ///< shared with the rank's CKSes and CKRs
   };
-  /// One bidirectional cable (= two directed links).
-  struct Cable {
-    net::PortId a, b;
-    std::size_t fwd_link = 0;  ///< a -> b directed link index
-    std::size_t rev_link = 0;  ///< b -> a directed link index
-    bool alive = true;
-  };
-  /// One directed link. `rlink` is set on a fault-plan (go-back-N) build;
-  /// under a non-cycle fidelity policy it marks a fault-pinned cable
+  /// One directed link. Links come in cable pairs: link 2k runs a -> b and
+  /// link 2k + 1 runs b -> a for the k-th cable (a, b) of the built
+  /// topology's `Connections()`. `rlink` is set on a fault-plan (go-back-N)
+  /// build; under a non-cycle fidelity policy it marks a fault-pinned cable
   /// (injected faults are always timed exactly).
   struct LinkRec {
     net::PortId from, to;
-    std::size_t cable = 0;
     PacketFifo* tx = nullptr;  ///< CKS-side net FIFO feeding the link
     sim::SerialLink<net::Packet>* link = nullptr;     ///< either build
     sim::ReliableLink<net::Packet>* rlink = nullptr;  ///< fault-plan build
@@ -191,17 +183,14 @@ class Fabric final : public sim::LinkDeathSink {
     std::uint64_t recovered = 0;  ///< payloads re-queued into the CKSes
   };
 
-  /// `active[q]` selects which ports get CK pairs; all-true for dense
-  /// builds, cabled-or-endpoint ports for sparse ones.
+  /// `active[q]` selects which ports get CK pairs (see the constructor).
   void BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
                  const std::vector<bool>& active);
   /// `(ranks_[rank].*table)[port]`, or null when either index is out of
   /// range.
   template <class T>
   const T* Find(int rank, int port, std::vector<T> Rank::*table) const;
-  void BuildLinks(
-      sim::Engine& engine,
-      const std::vector<std::pair<net::PortId, net::PortId>>& connections);
+  void BuildLinks(sim::Engine& engine);
   /// The failover itself; runs as an engine global event at the top of a
   /// cycle under every scheduler. Idempotent: a no-op if the cable already
   /// failed over or the death was undone by the final-epoch trim.
@@ -209,18 +198,17 @@ class Fabric final : public sim::LinkDeathSink {
                        sim::Cycle now);
 
   sim::Engine* engine_ = nullptr;
-  int num_ranks_;
-  int ports_per_rank_;
+  net::Topology topology_;
+  /// Heap-held so the CKSes' pointer to it survives a move of the fabric.
+  std::unique_ptr<net::RoutingTable> routes_;
   FabricConfig config_;
   std::vector<Rank> ranks_;
   std::vector<LinkRec> link_recs_;
-  std::vector<Cable> cables_;
   /// Owned fault models, one per faulted directed link (deque: the links
   /// hold stable pointers into it).
   std::deque<fault::LinkFaultModel> fault_models_;
   std::vector<FailoverRecord> failovers_;
   sim::Cycle failover_delay_ = 0;  ///< resolved death-to-reroute delay
-  bool routes_uploaded_ = false;
 };
 
 }  // namespace smi::transport

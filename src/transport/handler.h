@@ -133,8 +133,9 @@ struct HandlerEntry {
   int pass_every = 1;
 };
 
-/// The per-rank handler table. Uploaded whole to every CKS and CKR of the
-/// rank (like the routing tables); lookups are linear over a handful of
+/// The per-rank handler table. Uploaded whole (like the routing tables) and
+/// kept once per rank by the fabric, where the rank's CKSes and CKRs read
+/// it; lookups are linear over a handful of
 /// entries, exactly the small match-table a hardware implementation would
 /// synthesize.
 class HandlerTable {

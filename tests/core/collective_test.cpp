@@ -576,6 +576,12 @@ TEST(Reduce, DeadlockReportNamesTheRootsCall) {
                       "awaiting result)"),
             std::string::npos)
       << sync;
+  // The root's support kernel names the element it cannot retire and the
+  // rank that never contributed it.
+  EXPECT_NE(sync.find("r0.Reduce.sup.1 waiting on ReduceSupport: element 2 "
+                      "awaiting rank 2"),
+            std::string::npos)
+      << sync;
   // Every scheduler reports it at the same cycle.
   const std::string head = sync.substr(0, sync.find(';'));
   EXPECT_EQ(StoppedReduceReport(sim::SchedulerKind::kEventDriven, 1), sync);

@@ -53,6 +53,7 @@ struct FaultObservation {
   std::uint64_t kernel_resumes = 0;
   std::string faults;    ///< Fabric::FaultsJson() serialization
   std::string counters;  ///< per-entity telemetry counters, when collected
+  std::string routes;    ///< the routing table in force after the run
 };
 
 ClusterConfig WithScheduler(SchedulerKind kind, unsigned threads = 1) {
@@ -89,7 +90,7 @@ FaultObservation RunStream(ClusterConfig config, const Topology& topo,
   const RunResult result = cluster.Run();
   FaultObservation obs{result.cycles, result.link_packets,
                        result.kernel_resumes, cluster.FaultsJson().dump(),
-                       ""};
+                       "", cluster.routes().ToJson().dump()};
   if (config.engine.collect_counters) {
     obs.counters = cluster.CaptureTelemetry().counters.dump();
   }
@@ -136,6 +137,7 @@ FaultObservation ExpectFaultySchedulersIdentical(const fault::FaultPlan& plan,
   EXPECT_EQ(event.kernel_resumes, sync.kernel_resumes);
   EXPECT_EQ(event.faults, sync.faults);
   EXPECT_EQ(event.counters, sync.counters);
+  EXPECT_EQ(event.routes, sync.routes);
 
   for (const unsigned threads : kThreadCounts) {
     std::vector<std::int32_t> par_sink;
@@ -149,6 +151,7 @@ FaultObservation ExpectFaultySchedulersIdentical(const fault::FaultPlan& plan,
         << "threads=" << threads;
     EXPECT_EQ(par.faults, sync.faults) << "threads=" << threads;
     EXPECT_EQ(par.counters, sync.counters) << "threads=" << threads;
+    EXPECT_EQ(par.routes, sync.routes) << "threads=" << threads;
   }
   return sync;
 }
@@ -219,16 +222,17 @@ fault::FaultPlan KillCablePlan(const std::string& cable_key, Cycle kill_at) {
   return plan;
 }
 
-void ExpectFailoverCompletes(const fault::FaultPlan& plan,
-                             const Topology& topo,
-                             const std::string& cable_key,
-                             const StreamShape& shape = {},
-                             bool in_order = true) {
+FaultObservation ExpectFailoverCompletes(const fault::FaultPlan& plan,
+                                         const Topology& topo,
+                                         const std::string& cable_key,
+                                         const StreamShape& shape = {},
+                                         bool in_order = true) {
   const FaultObservation obs = ExpectFaultySchedulersIdentical(
       plan, topo, shape, /*collect_counters=*/shape.every > 1, in_order);
   const json::Value faults = json::Parse(obs.faults);
   const json::Array& failovers = faults.at("failovers").as_array();
-  ASSERT_EQ(failovers.size(), 1u);
+  EXPECT_EQ(failovers.size(), 1u);
+  if (failovers.size() != 1) return obs;
   EXPECT_EQ(failovers[0].get_string("cable", ""), cable_key);
   EXPECT_GT(failovers[0].get_int("failover_cycle", 0),
             failovers[0].get_int("death_cycle", 0));
@@ -238,6 +242,7 @@ void ExpectFailoverCompletes(const fault::FaultPlan& plan,
     saw_dead |= row.get_bool("dead", false);
   }
   EXPECT_TRUE(saw_dead);
+  return obs;
 }
 
 TEST(FaultDifferential, RingSurvivesCableDeathByRerouting) {
@@ -273,6 +278,39 @@ TEST(FaultDifferential, StalledCksSurviveCableDeathByRerouting) {
   ExpectFailoverCompletes(plan, Topology::Ring(4), "0:1<->1:0",
                           {.n = 1000, .source = 3, .every = 2},
                           /*in_order=*/false);
+}
+
+TEST(FaultDifferential, RoutesAfterFailoverAvoidTheDeadCable) {
+  // 2x4 torus: the stream 0 -> 1 uses the east cable 0:1 <-> 1:3, which dies
+  // mid-stream. After the run the cluster reports the table the failover
+  // uploaded, identical under every scheduler: kAuto over the surviving
+  // cables, which no compute pair routes across the dead cable with.
+  const Topology torus = Topology::Torus2D(2, 4);
+  const net::PortId dead_a{0, 1};
+  const net::PortId dead_b{1, 3};
+  const FaultObservation obs = ExpectFailoverCompletes(
+      KillCablePlan("0:1<->1:3", 30), torus, "0:1<->1:3");
+  Topology survivors(torus.num_ranks(), torus.ports_per_rank());
+  for (const auto& [a, b] : torus.Connections()) {
+    if (!(a == dead_a)) survivors.Connect(a, b);
+  }
+  EXPECT_EQ(obs.routes,
+            net::ComputeRoutes(survivors, net::RoutingScheme::kAuto)
+                .ToJson()
+                .dump());
+  const net::RoutingTable routes =
+      net::RoutingTable::FromJson(json::Parse(obs.routes));
+  for (int s = 0; s < torus.num_ranks(); ++s) {
+    for (int d = 0; d < torus.num_ranks(); ++d) {
+      for (int at = s; at != d;) {
+        const net::PortId out{at, routes.next_port(at, d)};
+        ASSERT_FALSE(out == dead_a || out == dead_b)
+            << "route " << s << " -> " << d << " leaves rank " << at
+            << " over the dead cable";
+        at = torus.Peer(out)->rank;
+      }
+    }
+  }
 }
 
 TEST(FaultDifferential, DisconnectingFailureIsReportedNotHung) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,79 @@ TEST(Topology, RejectsInvalidWiring) {
   EXPECT_THROW(t.Connect(PortId{0, 0}, PortId{1, 1}), ConfigError);  // rewire
   EXPECT_THROW(Topology(0, 1), ConfigError);
   EXPECT_THROW(Topology(1, 0), ConfigError);
+}
+
+/// Runs `wire` and expects a ConfigError whose message names every needle.
+template <class F>
+void ExpectWiringError(F wire, std::initializer_list<const char*> needles) {
+  try {
+    wire();
+    FAIL() << "invalid wiring accepted";
+  } catch (const ConfigError& e) {
+    for (const char* needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Machine-generated cabling: a JSON cable list as the route generator
+/// reads it, validated by the same Connect.
+Topology FromCables(const std::string& ranks_ports,
+                    const std::string& connections) {
+  return Topology::FromJson(
+      json::Parse("{" + ranks_ports + R"(,"connections":[)" + connections +
+                  "]}"));
+}
+
+TEST(Topology, RejectsOutOfRangeConnectionPort) {
+  // Every port index is bounds-checked against ports_per_rank and every
+  // rank against num_ranks, whether cabled in code or from JSON.
+  ExpectWiringError(
+      [] { Topology(2, 2).Connect(PortId{0, 0}, PortId{1, 2}); },
+      {"rank 1", "port 2"});
+  ExpectWiringError(
+      [] {
+        FromCables(R"("ranks":2,"ports_per_rank":2)",
+                   R"({"a":[0,0],"b":[1,2]})");
+      },
+      {"rank 1", "port 2"});
+  ExpectWiringError(
+      [] { Topology(2, 2).Connect(PortId{0, 0}, PortId{3, 0}); },
+      {"rank 3", "port 0"});
+  ExpectWiringError(
+      [] {
+        FromCables(R"("ranks":2,"ports_per_rank":2)",
+                   R"({"a":[0,0],"b":[3,0]})");
+      },
+      {"rank 3", "port 0"});
+}
+
+TEST(Topology, RejectsDoublyWiredNetworkInterface) {
+  // Each (rank, port) network interface carries exactly one cable, and a
+  // cable cannot join two ports of one rank.
+  ExpectWiringError(
+      [] {
+        Topology t(3, 1);
+        t.Connect(PortId{0, 0}, PortId{1, 0});
+        t.Connect(PortId{0, 0}, PortId{2, 0});
+      },
+      {"already wired", "rank 0", "port 0"});
+  ExpectWiringError(
+      [] {
+        FromCables(R"("ranks":3,"ports_per_rank":1)",
+                   R"({"a":[0,0],"b":[1,0]},{"a":[0,0],"b":[2,0]})");
+      },
+      {"already wired", "rank 0", "port 0"});
+  ExpectWiringError(
+      [] { Topology(2, 2).Connect(PortId{0, 0}, PortId{0, 1}); },
+      {"same rank", "rank 0"});
+  ExpectWiringError(
+      [] {
+        FromCables(R"("ranks":2,"ports_per_rank":2)",
+                   R"({"a":[0,0],"b":[0,1]})");
+      },
+      {"same rank", "rank 0"});
 }
 
 TEST(Topology, NeighborsFollowPortOrderWhateverTheCablingOrder) {

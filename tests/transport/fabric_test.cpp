@@ -290,58 +290,6 @@ TEST(Fabric, RejectsDuplicateEndpointPort) {
   EXPECT_THROW(Fabric(engine2, topo, std::move(all2)), ConfigError);
 }
 
-TEST(Fabric, RejectsOutOfRangeConnectionPort) {
-  // The raw cable-list constructor must bounds-check every port index
-  // against ports_per_rank before touching the CK vectors.
-  Engine engine;
-  const std::vector<std::pair<net::PortId, net::PortId>> cables = {
-      {{0, 0}, {1, 2}},  // port 2 on a 2-port fabric
-  };
-  std::vector<RankEndpoints> all(2);
-  try {
-    Fabric fabric(engine, /*num_ranks=*/2, /*ports_per_rank=*/2, cables,
-                  std::move(all));
-    FAIL() << "out-of-range connection port accepted";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("port 2"), std::string::npos);
-  }
-
-  Engine engine2;
-  const std::vector<std::pair<net::PortId, net::PortId>> bad_rank = {
-      {{0, 0}, {3, 0}},  // rank 3 on a 2-rank fabric
-  };
-  std::vector<RankEndpoints> all2(2);
-  EXPECT_THROW(Fabric(engine2, 2, 2, bad_rank, std::move(all2)), ConfigError);
-}
-
-TEST(Fabric, RejectsDoublyWiredNetworkInterface) {
-  // Each (rank, port) network interface carries exactly one cable; wiring a
-  // second cable into it would silently rewire the CKS/CKR attachment.
-  Engine engine;
-  const std::vector<std::pair<net::PortId, net::PortId>> cables = {
-      {{0, 0}, {1, 0}},
-      {{0, 0}, {2, 0}},  // (rank 0, port 0) already cabled
-  };
-  std::vector<RankEndpoints> all(3);
-  try {
-    Fabric fabric(engine, /*num_ranks=*/3, /*ports_per_rank=*/1, cables,
-                  std::move(all));
-    FAIL() << "doubly wired network interface accepted";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("port 0"), std::string::npos);
-  }
-
-  // Same-rank cable is also rejected.
-  Engine engine2;
-  const std::vector<std::pair<net::PortId, net::PortId>> self = {
-      {{0, 0}, {0, 1}},
-  };
-  std::vector<RankEndpoints> all2(2);
-  EXPECT_THROW(Fabric(engine2, 2, 2, self, std::move(all2)), ConfigError);
-}
-
 TEST(Fabric, UploadRoutesRejectsCorruptTableBeforeUploading) {
   // A corrupt table must be rejected whole — validated against the wiring
   // before any CKS is touched — so a failed upload leaves the previously
@@ -381,17 +329,17 @@ TEST(Fabric, UploadRoutesRejectsCorruptTableBeforeUploading) {
   EXPECT_EQ(sink.size(), 10u);
 }
 
-TEST(Fabric, RawConnectionListMatchesTopologyBuild) {
-  // Building from Topology::Connections() by hand must behave identically to
-  // the topology constructor: traffic still delivers end to end.
+TEST(Fabric, JsonCablingMatchesTopologyBuild) {
+  // Machine-generated cabling enters through Topology::FromJson: a fabric
+  // built from the JSON cable list delivers end to end like one built from
+  // the topology itself.
   Engine engine;
-  const Topology topo = Topology::Bus(3);
+  const Topology topo = Topology::FromJson(Topology::Bus(3).ToJson());
   RankEndpoints eps;
   eps.send_ports.push_back(0);
   eps.recv_ports.push_back(0);
   std::vector<RankEndpoints> all(3, eps);
-  Fabric fabric(engine, topo.num_ranks(), topo.ports_per_rank(),
-                topo.Connections(), std::move(all));
+  Fabric fabric(engine, topo, std::move(all));
   fabric.UploadRoutes(net::ComputeRoutes(topo, RoutingScheme::kAuto));
   std::vector<std::uint32_t> sink;
   engine.AddKernel(SendPackets(fabric.SendEndpoint(0, 0), 0, 2, 0, 25), "s");
