@@ -20,9 +20,9 @@
 ///     initiation interval 1 on the kernels that use it.
 ///
 /// A FIFO's ring storage is allocated by its first push, not at
-/// construction. A fabric creates every crossbar edge and link interface
-/// FIFO of every rank up front (~36k on a 296-rank fat-tree), and only the
-/// ones that traffic actually crosses (~2k there) ever hold an element.
+/// construction. A fabric creates its crossbar edges and link interface
+/// FIFOs up front (19,456 on a 296-rank fat-tree), and only the ones that
+/// traffic actually crosses (~2k there) ever hold an element.
 
 #include <algorithm>
 #include <cstdint>

@@ -12,6 +12,18 @@
 /// With R=1 and five incoming connections, a lone active source is serviced
 /// once every 5 cycles — exactly the 5-cycle injection latency the paper
 /// reports in Table 4.
+///
+/// ## Empty slots
+///
+/// A connection the fabric does not build (an edge no packet can take, see
+/// transport/fabric.h) still occupies its slot: `AddEmptySlot` appends one
+/// shared, engine-less FIFO that is never written. The pointer examines it
+/// like an idle input — examining it costs the cycle and it never holds
+/// data, so its has-data bit stays clear — and every later slot keeps its
+/// index. Grants, `PollsUntilData`, `WakeForPush` and the CK counters are
+/// therefore exactly those of an arbiter with a never-written FIFO in that
+/// slot. `AppendInputs` reports the slot too; the engine ignores it, as it
+/// ignores every FIFO it does not own.
 
 #include <algorithm>
 #include <bit>
@@ -36,6 +48,8 @@ class PollingArbiter {
     inputs_.push_back(&fifo);
     has_data_.resize((inputs_.size() + 63) / 64, 0);
   }
+  /// Append an empty slot (see the file comment).
+  void AddEmptySlot() { AddInput(EmptySlot()); }
   std::size_t num_inputs() const { return inputs_.size(); }
 
   /// Select the input to service at cycle `now`, or nullptr if the
@@ -164,7 +178,9 @@ class PollingArbiter {
     }
   }
 
-  /// Append all inputs to `out`, in slot order (for Component::DeclareFifos).
+  /// Append all inputs to `out`, in slot order and empty slots included, so
+  /// the engine's slot numbers are the arbiter's (for
+  /// Component::DeclareFifos).
   void AppendInputs(std::vector<const sim::FifoBase*>& out) const {
     for (const PacketFifo* in : inputs_) out.push_back(in);
   }
@@ -191,6 +207,13 @@ class PollingArbiter {
   void set_counters(obs::CkCounters* counters) { obs_ = counters; }
 
  private:
+  /// The one FIFO behind every empty slot: never pushed, popped or
+  /// committed, so concurrent arbiters only ever read it.
+  static PacketFifo& EmptySlot() {
+    static PacketFifo slot("empty-slot", 1);
+    return slot;
+  }
+
   void Advance() { index_ = (index_ + 1) % inputs_.size(); }
 
   /// Replay `idle` cycles in which every input was empty: each such cycle

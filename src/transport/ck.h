@@ -12,8 +12,9 @@
 /// Outputs toward the rank's other CKs live in one table indexed by network
 /// port: the entry at the CK's own port is the paired CK (CKS -> CKR for
 /// local deliveries, CKR -> CKS for transit packets), any other entry the
-/// crossbar FIFO toward the same-kind CK at that port (null on the holes of
-/// a sparse build).
+/// crossbar FIFO toward the same-kind CK at that port (null where the fabric
+/// builds no such edge: a sparse build's holes and the CKR edges no packet
+/// can take, see transport/fabric.h).
 ///
 /// Hooks (the derived class defines `Route` and shadows the no-op defaults
 /// below where it has a side stage):

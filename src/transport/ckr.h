@@ -60,6 +60,10 @@ class Ckr final : public Ck<Ckr> {
         endpoints_(&endpoints),
         handlers_(&handlers) {}
 
+  /// An arbiter slot for an input edge the fabric does not build (see
+  /// transport/arbiter.h).
+  void AddEmptySlot() { arbiter_.AddEmptySlot(); }
+
  private:
   friend class Ck<Ckr>;
 

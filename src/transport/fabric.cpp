@@ -62,39 +62,17 @@ Fabric::Fabric(sim::Engine& engine, const net::Topology& topology,
     }
   }
 
-  // Active ports per rank get CK pairs: every port on a dense build; on a
-  // sparse one the cabled ports (active on both ends, so BuildLinks never
-  // touches a null CK) plus the CKs endpoints map onto (p mod P).
-  const int P = ports_per_rank();
-  const bool sparse = topology_.has_switches();
-  std::vector<std::vector<bool>> active(
-      static_cast<std::size_t>(ranks),
-      std::vector<bool>(static_cast<std::size_t>(P), !sparse));
-  for (int r = 0; sparse && r < ranks; ++r) {
-    std::vector<bool>& rank_active = active[static_cast<std::size_t>(r)];
-    for (int q = 0; q < P; ++q) {
-      rank_active[static_cast<std::size_t>(q)] =
-          topology_.Peer(net::PortId{r, q}).has_value();
-    }
-    const RankEndpoints& eps = endpoints[static_cast<std::size_t>(r)];
-    for (const std::vector<int>& ports : {eps.send_ports, eps.recv_ports}) {
-      for (const int p : ports) {
-        rank_active[static_cast<std::size_t>(p % P)] = true;
-      }
-    }
-  }
-
   ranks_.resize(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
     BuildRank(engine, r, endpoints[static_cast<std::size_t>(r)],
-              active[static_cast<std::size_t>(r)]);
+              topology_.has_switches());
   }
   BuildLinks(engine);
   engine.SetPartitionTag(sim::Engine::kUntaggedPartition);
 }
 
 void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
-                       const std::vector<bool>& active) {
+                       bool sparse) {
   // Everything built here is rank-local, which is exactly the partition
   // boundary the parallel scheduler needs: tag it all with the rank id.
   engine.SetPartitionTag(r);
@@ -102,15 +80,31 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
   const int P = ports_per_rank();
   const std::string prefix = "r" + std::to_string(r) + ".";
 
-  // The endpoint table, sized to the rank's largest declared port + 1.
+  // Which CKs serve an application endpoint (port p maps to CK p mod P),
+  // and the endpoint table's size: the largest declared port + 1.
+  std::vector<bool> sends(static_cast<std::size_t>(P), false);
+  std::vector<bool> recvs(static_cast<std::size_t>(P), false);
   int max_port = -1;
-  for (const std::vector<int>& ports : {eps.send_ports, eps.recv_ports}) {
-    for (const int p : ports) max_port = std::max(max_port, p);
+  for (const int p : eps.send_ports) {
+    sends[static_cast<std::size_t>(p % P)] = true;
+    max_port = std::max(max_port, p);
+  }
+  for (const int p : eps.recv_ports) {
+    recvs[static_cast<std::size_t>(p % P)] = true;
+    max_port = std::max(max_port, p);
   }
   rank.endpoints.resize(static_cast<std::size_t>(max_port + 1));
 
-  // Create the CK modules (only for active ports on a sparse build; the
-  // vectors keep nullptr holes so port indexing stays direct).
+  // Active ports get CK pairs: every port on a dense build; on a sparse one
+  // the cabled ports (active on both ends, so BuildLinks never touches a
+  // null CK) plus the CKs that serve an endpoint. The vectors keep nullptr
+  // holes so port indexing stays direct.
+  std::vector<bool> active(static_cast<std::size_t>(P));
+  for (int q = 0; q < P; ++q) {
+    const std::size_t i = static_cast<std::size_t>(q);
+    active[i] = !sparse || sends[i] || recvs[i] ||
+                topology_.Peer(net::PortId{r, q}).has_value();
+  }
   const auto is_active = [&active](int q) {
     return active[static_cast<std::size_t>(q)];
   };
@@ -153,8 +147,16 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
     declare(p, &Endpoint::recv, "ckr->app", "recv");
   }
 
-  // Paired CKR -> CKS (transit packets) and CKS -> paired CKR (local
-  // deliveries).
+  // Only edges that can carry a packet are built; the rule reads the
+  // endpoint table alone, so it holds for every routing table an upload or
+  // a failover installs. An edge left out is an empty slot of the
+  // receiving CKR's arbiter (see transport/arbiter.h), so every arbiter
+  // keeps the slot count, and the cycle timing, of the full wiring.
+  //
+  // Paired CKR -> CKS (transit packets) on every active port. CKS -> paired
+  // CKR (local deliveries) only where the CKS serves a send endpoint: every
+  // other packet a CKS forwards (transit, crossbar, recovered, fan-out) is
+  // bound for another rank.
   for (int q = 0; q < P; ++q) {
     if (!is_active(q)) continue;
     PacketFifo& ckr_to_cks = engine.MakeFifo<net::Packet>(
@@ -162,14 +164,20 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
     rank.ckr[static_cast<std::size_t>(q)]->SetOutput(q, ckr_to_cks);
     rank.cks[static_cast<std::size_t>(q)]->AddInput(ckr_to_cks);
 
+    if (!sends[static_cast<std::size_t>(q)]) {
+      rank.ckr[static_cast<std::size_t>(q)]->AddEmptySlot();
+      continue;
+    }
     PacketFifo& cks_to_ckr = engine.MakeFifo<net::Packet>(
         FifoName("cks->ckr", r, q), config_.crossbar_fifo_depth);
     rank.cks[static_cast<std::size_t>(q)]->SetOutput(q, cks_to_ckr);
     rank.ckr[static_cast<std::size_t>(q)]->AddInput(cks_to_ckr);
   }
 
-  // CKS crossbar (packets needing a different network port) and CKR
-  // crossbar (local packets whose destination port lives on another CKR).
+  // CKS crossbar (packets needing a different network port) between every
+  // two active ports. CKR crossbar (local packets whose port lives on
+  // another CKR) only toward a CKR that owns a receive endpoint: a CKR
+  // rejects a packet for an undeclared port before it picks an output.
   for (int q = 0; q < P; ++q) {
     if (!is_active(q)) continue;
     for (int o = 0; o < P; ++o) {
@@ -180,6 +188,10 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
       rank.cks[static_cast<std::size_t>(o)]->AddInput(cks_x,
                                                       /*from_crossbar=*/true);
 
+      if (!recvs[static_cast<std::size_t>(o)]) {
+        rank.ckr[static_cast<std::size_t>(o)]->AddEmptySlot();
+        continue;
+      }
       PacketFifo& ckr_x = engine.MakeFifo<net::Packet>(
           FifoName("ckr->ckr", r, q, o), config_.crossbar_fifo_depth);
       rank.ckr[static_cast<std::size_t>(q)]->SetOutput(o, ckr_x);

@@ -100,6 +100,18 @@ class Fabric final : public sim::LinkDeathSink {
   /// per rank and — because a polling arbiter examines one input per cycle —
   /// change cycle timing. Switchless fabrics, which have dense baselines,
   /// stay dense and keep their exact cycle behaviour.
+  ///
+  /// On every build, sparse or dense, a FIFO into a CKR exists only where
+  /// the rank's endpoints say it can carry a packet: the CKR crossbar edge
+  /// toward CKR o only when o owns a receive endpoint (some recv port p has
+  /// p mod P == o), the CKS -> paired CKR edge at port q only when CKS q
+  /// serves a send endpoint (only a self-send takes it). The rule depends on
+  /// no routing table, so it holds across `UploadRoutes` and failover. Each
+  /// edge left out is an empty slot of the CKR's polling arbiter
+  /// (transport/arbiter.h), so the R-polling cycle model is that of the
+  /// full wiring. On the 296-rank `FatTree(8, 32, 8)` with one SPMD endpoint
+  /// pair this builds 19,456 FIFOs instead of 35,840: the switches have no
+  /// CKR crossbar and no CKS -> CKR edge at all.
   Fabric(sim::Engine& engine, const net::Topology& topology,
          std::vector<RankEndpoints> endpoints, FabricConfig config = {});
 
@@ -183,9 +195,10 @@ class Fabric final : public sim::LinkDeathSink {
     std::uint64_t recovered = 0;  ///< payloads re-queued into the CKSes
   };
 
-  /// `active[q]` selects which ports get CK pairs (see the constructor).
+  /// Rank r's CK pairs, endpoints and the edges between them (see the
+  /// constructor); `sparse` builds CK pairs only for active ports.
   void BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
-                 const std::vector<bool>& active);
+                 bool sparse);
   /// `(ranks_[rank].*table)[port]`, or null when either index is out of
   /// range.
   template <class T>

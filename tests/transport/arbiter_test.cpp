@@ -459,5 +459,87 @@ TEST(PollingArbiter, NeverPolledArbiterMustStepOnAnyData) {
   EXPECT_EQ(counters.bursts, 1u);
 }
 
+TEST(PollingArbiter, EmptySlotPollsLikeANeverWrittenInput) {
+  // The fabric leaves out CKR edges no packet can take and puts an empty
+  // slot in their place. `wired` has a FIFO at slot k that nothing writes,
+  // `pruned` an empty slot there; one scripted run of pushes into the other
+  // slots, polls, skipped polls, stalls and sleeps must give both the same
+  // grants, the same sleep and push answers and the same counters.
+  std::mt19937_64 rng(0xe5107);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  constexpr int kInputs = 7;
+  constexpr sim::Cycle kCycles = 400;
+  std::uint64_t grants = 0, stalls = 0;
+  for (int k = 0; k < kInputs; ++k) {
+    for (const int r : {1, 2, 8}) {
+      CkModel wired(kInputs, r);
+      CkModel pruned(0, r);
+      for (int i = 0; i < kInputs; ++i) {
+        pruned.fifos.push_back(
+            std::make_unique<PacketFifo>("in" + std::to_string(i), 2));
+        if (i == k) {
+          pruned.arb.AddEmptySlot();
+        } else {
+          pruned.arb.AddInput(*pruned.fifos.back());
+        }
+      }
+      ASSERT_EQ(pruned.arb.num_inputs(), wired.arb.num_inputs());
+      std::vector<const sim::FifoBase*> slots;
+      pruned.arb.AppendInputs(slots);
+      ASSERT_EQ(slots.size(), static_cast<std::size_t>(kInputs));
+      for (int i = 0; i < kInputs; ++i) {
+        if (i == k) continue;
+        EXPECT_EQ(slots[static_cast<std::size_t>(i)],
+                  pruned.fifos[static_cast<std::size_t>(i)].get());
+      }
+      const std::string where =
+          "k=" + std::to_string(k) + " r=" + std::to_string(r);
+      std::vector<std::size_t> pushed;
+      for (sim::Cycle now = 0; now < kCycles; ++now) {
+        pushed.clear();
+        for (int i = 0; i < kInputs; ++i) {
+          PacketFifo& a = *wired.fifos[static_cast<std::size_t>(i)];
+          PacketFifo& b = *pruned.fifos[static_cast<std::size_t>(i)];
+          if (i != k && coin(rng) < 0.15 && a.CanPush(now)) {
+            a.Push(DataPacket(i), now);
+            b.Push(DataPacket(i), now);
+            pushed.push_back(static_cast<std::size_t>(i));
+          }
+        }
+        // Both CKs step on the same cycles: always at the start, then on
+        // about two cycles in three (the others are slept and replayed).
+        if (now == 0 || coin(rng) < 0.65) {
+          const bool full = coin(rng) < 0.3;
+          const bool drain = now > 0 && coin(rng) < 0.1;
+          const auto got = pruned.Step(now, full, drain);
+          ASSERT_EQ(got, wired.Step(now, full, drain))
+              << where << " now=" << now;
+          ASSERT_NE(got.first, k) << where;
+          if (got.first >= 0) ++(got.second ? stalls : grants);
+        }
+        for (auto& f : wired.fifos) f->Commit(now);
+        for (auto& f : pruned.fifos) f->Commit(now);
+        for (const std::size_t slot : pushed) {
+          ASSERT_EQ(pruned.arb.WakeForPush(slot, now),
+                    wired.arb.WakeForPush(slot, now))
+              << where << " now=" << now << " slot=" << slot;
+        }
+        ASSERT_EQ(pruned.arb.PollsUntilData(now),
+                  wired.arb.PollsUntilData(now))
+            << where << " now=" << now;
+      }
+      wired.counters.Finalize(kCycles);
+      pruned.counters.Finalize(kCycles);
+      EXPECT_EQ(pruned.counters.polls, wired.counters.polls) << where;
+      EXPECT_EQ(pruned.counters.hits, wired.counters.hits) << where;
+      EXPECT_EQ(pruned.counters.stalls, wired.counters.stalls) << where;
+      EXPECT_EQ(pruned.counters.bursts, wired.counters.bursts) << where;
+    }
+  }
+  // Grants and stalled grants were both exercised.
+  EXPECT_GT(grants, 1000u);
+  EXPECT_GT(stalls, 300u);
+}
+
 }  // namespace
 }  // namespace smi::transport

@@ -9,7 +9,12 @@
 ///   * an in-network Reduce on a 4x4 torus (the CKS combine buffer and the
 ///     CKR fan-out queue of the credit grants);
 ///   * a Ring(4) stream whose 0 <-> 1 cable dies under a stalled transit CKS
-///     (the CKS recovery queue after a failover).
+///     (the CKS recovery queue after a failover);
+///   * diagonal streams on a 4x4 torus whose receivers declare recv port 2
+///     only, so every delivery crosses the CKR crossbar into CKR 2 while
+///     each CKR's arbiter polls past the slots of edges the fabric leaves
+///     out (no CKR crossbar toward CKRs 0, 1 and 3, no CKS -> CKR edge at
+///     ports 0, 1 and 3).
 /// Each scenario runs under the synchronous, event-driven and parallel
 /// schedulers and must reproduce the rows in testdata/ck_rows_<name>.jsonl
 /// (one JSON row per CK, in the counter document's order) byte for byte.
@@ -37,16 +42,17 @@ using net::Topology;
 using sim::Kernel;
 using sim::SchedulerKind;
 
-Kernel StreamTo(Context& ctx, int dst, int n) {
+Kernel StreamTo(Context& ctx, int dst, int n, int port = 0) {
   SendChannel ch =
-      ctx.OpenSendChannel(n, DataType::kInt, dst, /*port=*/0, ctx.world());
+      ctx.OpenSendChannel(n, DataType::kInt, dst, port, ctx.world());
   for (int i = 0; i < n; ++i) co_await ch.Push<std::int32_t>(i * 3);
 }
 
 /// Pops `n` values from `src`, one every `every` cycles.
-Kernel SinkFrom(Context& ctx, int src, int n, sim::Cycle every) {
+Kernel SinkFrom(Context& ctx, int src, int n, sim::Cycle every,
+                int port = 0) {
   RecvChannel ch =
-      ctx.OpenRecvChannel(n, DataType::kInt, src, /*port=*/0, ctx.world());
+      ctx.OpenRecvChannel(n, DataType::kInt, src, port, ctx.world());
   for (int i = 0; i < n; ++i) {
     co_await ch.Pop<std::int32_t>();
     if (every > 1) co_await sim::WaitCycles{every - 1};
@@ -128,6 +134,29 @@ std::string RingFailover(ClusterConfig config) {
   return CkRows(cluster);
 }
 
+std::string TorusRecvPortTwo(ClusterConfig config) {
+  // Every rank (row, col) streams to (row + 1, col + 1): the packets arrive
+  // on the north or west port, never on the south port 2 that owns the one
+  // receive endpoint.
+  ProgramSpec spec;
+  spec.Add(OpSpec::Send(2, DataType::kInt));
+  spec.Add(OpSpec::Recv(2, DataType::kInt));
+  Cluster cluster(Topology::Torus2D(4, 4), spec, config);
+  const auto diagonal = [](int r, int step) {
+    return (r / 4 + step + 4) % 4 * 4 + (r % 4 + step + 4) % 4;
+  };
+  for (int r = 0; r < 16; ++r) {
+    cluster.AddKernel(r, StreamTo(cluster.context(r), diagonal(r, 1), 1000,
+                                  /*port=*/2),
+                      "s");
+    cluster.AddKernel(r, SinkFrom(cluster.context(r), diagonal(r, -1), 1000, 3,
+                                  /*port=*/2),
+                      "r");
+  }
+  cluster.Run();
+  return CkRows(cluster);
+}
+
 std::string ReadGolden(const std::string& name) {
   std::ifstream in(std::string(SMI_TESTDATA_DIR) + "/ck_rows_" + name +
                    ".jsonl");
@@ -177,6 +206,10 @@ TEST(CkCountersPinned, InnetReduceOnTorus) {
 
 TEST(CkCountersPinned, RingCableDeathRecovery) {
   ExpectRowsPinned("ring_failover", RingFailover);
+}
+
+TEST(CkCountersPinned, TorusDeliveriesPastEmptySlots) {
+  ExpectRowsPinned("torus_recv_port_two", TorusRecvPortTwo);
 }
 
 }  // namespace

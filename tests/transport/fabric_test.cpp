@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "core/smi.h"
 #include "obs/recorder.h"
 
 namespace smi::transport {
@@ -499,6 +502,124 @@ TEST(Fabric, CycleFidelityLeavesNoFidelityTrace) {
   EXPECT_EQ(hybrid.flow_links, 6u);
   EXPECT_TRUE(hybrid.report.is_object());
   EXPECT_EQ(hybrid.fidelity_rows, 6u);
+}
+
+/// FIFO rows of a counters document by kind, the name up to ".r<rank>"
+/// ("ckr->ckr.r3.1->2" is a "ckr->ckr").
+std::map<std::string, int> FifoCensus(const json::Value& counters) {
+  std::map<std::string, int> census;
+  for (const json::Value& row : counters.at("fifos").as_array()) {
+    const std::string& name = row.at("name").as_string();
+    ++census[name.substr(0, name.find(".r"))];
+  }
+  return census;
+}
+
+TEST(Fabric, FatTreeBuildsNoCkrEdgeOnSwitches) {
+  // fat_tree_256's fabric: 256 hosts under 32 leaves and 8 spines, one SPMD
+  // send/recv pair on port 0. No packet can enter a switch's CKR crossbar or
+  // its CKS -> CKR edge (a switch has no endpoint), and a host has one
+  // active port, so the only CKR edges built are the hosts' CKS -> CKR.
+  sim::EngineConfig config;
+  config.collect_counters = true;
+  Engine engine(config);
+  const Topology topo = Topology::FatTree(8, 32, 8);
+  std::vector<RankEndpoints> all(static_cast<std::size_t>(topo.num_ranks()));
+  for (const int host : topo.ComputeRankIds()) {
+    all[static_cast<std::size_t>(host)] = RankEndpoints{{0}, {0}};
+  }
+  Fabric fabric(engine, topo, std::move(all));
+  engine.Run();  // no kernels: attaches the counters and returns
+  const std::map<std::string, int> census =
+      FifoCensus(engine.recorder()->CountersJson());
+  const std::map<std::string, int> want = {
+      {"app->cks", 256},  {"ckr->app", 256},  {"ckr->cks", 1024},
+      {"cks->cks", 15616}, {"cks->ckr", 256}, {"cks->net", 1024},
+      {"net->ckr", 1024}};
+  EXPECT_EQ(census, want);
+  int total = 0;
+  for (const auto& [kind, n] : census) total += n;
+  // Building every CKR edge of the active ports gives 35,840: 15,616 more
+  // ckr->ckr and 768 more cks->ckr.
+  EXPECT_EQ(total, 19456);
+}
+
+sim::Kernel StreamInts(core::Context& ctx, int dst, int port, int n) {
+  core::SendChannel ch = ctx.OpenSendChannel(n, core::DataType::kInt, dst,
+                                             port, ctx.world());
+  for (int i = 0; i < n; ++i) {
+    co_await ch.Push<std::int32_t>(ctx.rank() * 1000 + i);
+  }
+}
+
+sim::Kernel CollectInts(core::Context& ctx, int src, int port, int n,
+                        std::vector<std::int32_t>& sink) {
+  core::RecvChannel ch = ctx.OpenRecvChannel(n, core::DataType::kInt, src,
+                                             port, ctx.world());
+  for (int i = 0; i < n; ++i) sink.push_back(co_await ch.Pop<std::int32_t>());
+}
+
+TEST(Fabric, CkrCrossbarOnlyTowardCkrsThatOwnARecvPort) {
+  // Recv ports 0 and 5 of a 4-port torus rank are owned by CKRs 0 and 1
+  // (5 mod 4), send ports 0 and 5 by CKSes 0 and 1: the CKR crossbar has
+  // edges only toward CKRs 0 and 1, the CKS -> CKR edge only at ports 0
+  // and 1. Port-5 traffic (rank r to r + 5, one row down and one column
+  // right for most ranks) arrives on network ports other than 1 and crosses
+  // that crossbar to CKR 1 past the empty slots; it must deliver the
+  // host-reference payloads under every scheduler.
+  core::ProgramSpec spec;
+  for (const int port : {0, 5}) {
+    spec.Add(core::OpSpec::Send(port, core::DataType::kInt));
+    spec.Add(core::OpSpec::Recv(port, core::DataType::kInt));
+  }
+  constexpr int kRanks = 16;
+  constexpr int kInts = 300;
+  const struct {
+    sim::SchedulerKind kind;
+    unsigned threads;
+    const char* label;
+  } runs[] = {{sim::SchedulerKind::kSynchronous, 1, "sync"},
+              {sim::SchedulerKind::kEventDriven, 1, "event"},
+              {sim::SchedulerKind::kParallel, 2, "parallel"}};
+  for (const auto& run : runs) {
+    core::ClusterConfig config;
+    config.engine.scheduler = run.kind;
+    config.engine.threads = run.threads;
+    config.engine.collect_counters = true;
+    core::Cluster cluster(Topology::Torus2D(4, 4), spec, config);
+    std::vector<std::vector<std::int32_t>> sinks(kRanks);
+    for (int r = 0; r < kRanks; ++r) {
+      cluster.AddKernel(
+          r, StreamInts(cluster.context(r), (r + 5) % kRanks, 5, kInts), "s");
+      cluster.AddKernel(r,
+                        CollectInts(cluster.context(r), (r + 11) % kRanks, 5,
+                                    kInts, sinks[static_cast<std::size_t>(r)]),
+                        "r");
+    }
+    cluster.Run();
+    for (int r = 0; r < kRanks; ++r) {
+      const std::vector<std::int32_t>& got =
+          sinks[static_cast<std::size_t>(r)];
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(kInts)) << run.label;
+      for (int i = 0; i < kInts; ++i) {
+        ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                  (r + 11) % kRanks * 1000 + i)
+            << run.label << " rank " << r << " element " << i;
+      }
+    }
+
+    const json::Value counters = cluster.CaptureTelemetry().counters;
+    int toward_owners = 0;
+    for (const json::Value& row : counters.at("fifos").as_array()) {
+      const std::string& name = row.at("name").as_string();
+      if (name.rfind("ckr->ckr.", 0) != 0) continue;
+      const int target = std::stoi(name.substr(name.rfind("->") + 2));
+      EXPECT_TRUE(target == 0 || target == 1) << name;
+      ++toward_owners;
+    }
+    EXPECT_EQ(toward_owners, kRanks * 2 * 3) << run.label;
+    EXPECT_EQ(FifoCensus(counters).at("cks->ckr"), kRanks * 2) << run.label;
+  }
 }
 
 }  // namespace
